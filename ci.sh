@@ -39,8 +39,10 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo run -q -p bc-analyze --release --bin bc-analyze -- --mutation-battery --quick
 
     # Race detector + invariant suite: seeded-bug self-test, the ten
-    # dataset analogues, the exact-score identities, and the stage-5
-    # metrics-vs-trace counter cross-check.
+    # dataset analogues (one observed replay per root and model checks
+    # races, invariants, priced atomics, and every level counter
+    # against the trace), the exact-score identities, and the later
+    # stages. Each stage prints its wall time.
     echo "==> bc-verify suite"
     cargo run -q -p bc-verify --release --bin bc-verify
     # Smoke-scale trajectory: few roots, 2-thread parallel arm. The

@@ -11,26 +11,28 @@
 //! each iteration. This is the classic functional/timing split used
 //! by architecture simulators.
 //!
-//! Every memory access the simulated kernels below emit (via
-//! [`TraceSink`]) must be admitted by the symbolic access
-//! specifications in [`crate::kernel_spec`]; `bc-analyze` replays
-//! recorded traces against those specs, so changes to the emission
-//! sites here must be mirrored there (the conformance gate fails
-//! otherwise).
+//! What the search does is reported through one hook, [`Observer`]:
+//! per-access events for the race detector and the conformance gate,
+//! and one [`LevelMetrics`] record per kernel launch for the metrics
+//! layer. Every memory access the simulated kernels below emit must be
+//! admitted by the symbolic access specifications in
+//! [`crate::kernel_spec`]; `bc-analyze` replays recorded traces
+//! against those specs, so changes to the emission sites here must be
+//! mirrored there (the conformance gate fails otherwise).
 
 use crate::frontier::{CompressedFrontier, VERTICES_PER_SUMMARY_WORD, VERTICES_PER_WORD};
-use bc_gpusim::trace::{AccessKind, KernelArray, NullSink, TraceEvent, TracePhase, TraceSink};
+use bc_gpusim::trace::{AccessKind, KernelArray, TraceEvent};
 use bc_gpusim::{DeviceConfig, IterationWork, KernelCounters};
 use bc_graph::{Csr, VertexId};
 use bc_metrics::{
-    LevelMetrics, MetricPhase, MetricTraversal, MetricsSink, NullMetrics, SwitchReason,
+    LevelMetrics, MetricPhase, MetricTraversal, MetricsRecorder, RootMetrics, SwitchReason,
 };
 
 /// Distance marker for undiscovered vertices (the paper's `∞`).
 pub const INFINITY: u32 = u32::MAX;
 
 /// Which half of Brandes' algorithm an iteration belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Shortest-path calculation (Algorithm 2).
     Forward,
@@ -171,6 +173,68 @@ pub trait CostModel {
     }
 }
 
+/// Receiver for what the engine observes while it searches one root.
+///
+/// A level is one simulated kernel launch. With [`Observer::ACCESSES`]
+/// the engine announces each launch with [`Observer::begin_level`] and
+/// then reports every logical access a GPU thread would perform on the
+/// named kernel arrays (`d`, `σ`, `δ`, `Q_curr`/`Q_next`, `S`/`ends`,
+/// and the bottom-up sweep's `visited`/`F_curr`/`F_next`/`F_sum`
+/// bitmaps) through [`Observer::access`]. Events between two
+/// `begin_level` calls execute concurrently across their logical
+/// threads: lane positions within the level's frontier (push), or
+/// vertex/word ids (pull). With [`Observer::LEVELS`] the engine hands
+/// over one [`LevelMetrics`] record per launch, after the launch is
+/// priced.
+///
+/// Both switches are associated constants, `false` by default, and
+/// every emission site is guarded by them, so a disabled observer
+/// (`()`) compiles the sites out — record construction included. An
+/// observer only sees values the engine already computed; it cannot
+/// perturb scores or priced timings.
+pub trait Observer {
+    /// Whether [`Observer::level`] receives per-launch records.
+    const LEVELS: bool = false;
+    /// Whether [`Observer::begin_level`] and [`Observer::access`]
+    /// receive the per-access trace.
+    const ACCESSES: bool = false;
+
+    /// A root's search begins (called when either switch is on).
+    fn begin_root(&mut self, _root: VertexId) {}
+
+    /// A kernel launch begins; subsequent accesses belong to it.
+    fn begin_level(&mut self, _phase: Phase, _depth: u32) {}
+
+    /// One logical access within the current launch.
+    fn access(&mut self, _event: TraceEvent) {}
+
+    /// The current launch finished and was priced.
+    fn level(&mut self, _level: LevelMetrics) {}
+}
+
+/// The disabled observer: every emission site compiles out.
+impl Observer for () {}
+
+/// Keeps every level record, grouped per root in emission order.
+impl Observer for MetricsRecorder {
+    const LEVELS: bool = true;
+
+    fn begin_root(&mut self, root: VertexId) {
+        self.roots.push(RootMetrics {
+            root,
+            levels: Vec::new(),
+        });
+    }
+
+    fn level(&mut self, level: LevelMetrics) {
+        self.roots
+            .last_mut()
+            .expect("the engine begins a root before recording levels")
+            .levels
+            .push(level);
+    }
+}
+
 /// Reusable per-root buffers (Algorithm 1 state).
 pub struct SearchWorkspace {
     dist: Vec<u32>,
@@ -269,7 +333,8 @@ impl SearchWorkspace {
     }
 }
 
-/// Per-root simulation outcome.
+/// Per-root simulation outcome. Per-level detail (frontier sizes,
+/// level seconds, directions) goes to an [`Observer`] instead.
 #[derive(Clone, Debug, Default)]
 pub struct RootOutcome {
     /// Work and simulated block-seconds for this root.
@@ -279,36 +344,6 @@ pub struct RootOutcome {
     pub max_depth: u32,
     /// Vertices reached (including the root).
     pub reached: usize,
-    /// Vertex-frontier size per forward level (Figure 3's trace).
-    pub frontier_sizes: Vec<usize>,
-    /// Edge-frontier size per forward level.
-    pub edge_frontier_sizes: Vec<u64>,
-    /// Simulated seconds of each forward level (Table I's per-
-    /// iteration time).
-    pub forward_level_seconds: Vec<f64>,
-    /// Direction each forward level executed in.
-    pub forward_traversals: Vec<Traversal>,
-}
-
-impl RootOutcome {
-    /// Clear for reuse without dropping the trace buffers.
-    pub fn reset(&mut self) {
-        self.counters = KernelCounters::default();
-        self.max_depth = 0;
-        self.reached = 0;
-        self.frontier_sizes.clear();
-        self.edge_frontier_sizes.clear();
-        self.forward_level_seconds.clear();
-        self.forward_traversals.clear();
-    }
-
-    /// Forward levels that ran bottom-up.
-    pub fn pull_levels(&self) -> usize {
-        self.forward_traversals
-            .iter()
-            .filter(|&&t| t == Traversal::Pull)
-            .count()
-    }
 }
 
 /// Immutable parameters naming one root's simulation: the graph, the
@@ -342,8 +377,7 @@ pub fn process_root(
 }
 
 /// [`process_root`] writing into a caller-owned [`RootOutcome`], so a
-/// multi-root loop reuses its trace buffers instead of reallocating
-/// them per root.
+/// multi-root loop reuses it instead of returning a fresh one per root.
 pub fn process_root_into(
     ctx: &RootContext<'_>,
     ws: &mut SearchWorkspace,
@@ -351,59 +385,30 @@ pub fn process_root_into(
     bc: &mut [f64],
     out: &mut RootOutcome,
 ) {
-    process_root_traced(ctx, ws, model, bc, out, &mut NullSink);
+    process_root_observed(ctx, ws, model, bc, out, &mut ());
 }
 
-/// [`process_root_into`] additionally emitting the logical per-thread
-/// memory accesses of each level to `sink` — one event per read,
-/// write, or atomic a GPU thread would perform on the named kernel
-/// arrays (`d`, `σ`, `δ`, `Q_curr`/`Q_next`, `S`/`ends`, and the
-/// bottom-up sweep's `visited`/`F_curr`/`F_next` bitmaps).
-///
-/// Logical thread ids are lane positions within the level's frontier
-/// (push), or vertex/word ids (pull — one lane per unvisited vertex,
-/// one per visited-bitmap word). With [`NullSink`] every emission
-/// site compiles out ([`TraceSink::ENABLED`] is a constant `false`),
-/// which is how the untraced [`process_root_into`] keeps its cost;
-/// `bc-verify`'s recorder captures the events for race detection.
-pub fn process_root_traced<S: TraceSink>(
+/// [`process_root_into`] reporting the search to `obs`: the per-access
+/// trace when [`Observer::ACCESSES`], and one [`LevelMetrics`] record
+/// per kernel launch when [`Observer::LEVELS`] — the aggregate
+/// counters the paper argues with (`|Q_curr|`/`|Q_next|`, edges
+/// inspected, CAS outcomes, priced atomics, the level's priced
+/// seconds, the direction decision and its reason). Scores, counters
+/// and priced timings are bitwise identical for every observer.
+pub fn process_root_observed<O: Observer>(
     ctx: &RootContext<'_>,
     ws: &mut SearchWorkspace,
     model: &mut dyn CostModel,
     bc: &mut [f64],
     out: &mut RootOutcome,
-    sink: &mut S,
-) {
-    process_root_observed(ctx, ws, model, bc, out, sink, &mut NullMetrics);
-}
-
-/// [`process_root_traced`] additionally emitting one [`LevelMetrics`]
-/// record per kernel launch to `metrics` — the aggregate counters the
-/// paper argues with (`|Q_curr|`/`|Q_next|`, edges inspected, CAS
-/// outcomes, priced atomics, the direction decision and its reason),
-/// captured *after* each level is priced.
-///
-/// The metrics sink only observes values the engine already computed
-/// for pricing, so a metered run's scores and priced timings are
-/// bitwise identical to an unmetered one; with [`NullMetrics`]
-/// (`MetricsSink::ENABLED == false`) every emission site — record
-/// construction included — compiles out, exactly like the trace
-/// layer's [`NullSink`].
-pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
-    ctx: &RootContext<'_>,
-    ws: &mut SearchWorkspace,
-    model: &mut dyn CostModel,
-    bc: &mut [f64],
-    out: &mut RootOutcome,
-    sink: &mut S,
-    metrics: &mut M,
+    obs: &mut O,
 ) {
     let (g, root, device) = (ctx.g, ctx.root, ctx.device);
-    out.reset();
+    *out = RootOutcome::default();
     ws.reset(root);
     model.begin_root(g, root);
-    if M::ENABLED {
-        metrics.begin_root(root);
+    if O::LEVELS || O::ACCESSES {
+        obs.begin_root(root);
     }
 
     let init = model.price_init(g, device);
@@ -443,8 +448,8 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
         } else {
             Traversal::Push
         };
-        if S::ENABLED {
-            sink.begin_level(TracePhase::Forward, depth);
+        if O::ACCESSES {
+            obs.begin_level(Phase::Forward, depth);
         }
         let mut updates = 0u64;
         let mut pull_unvisited = 0u64;
@@ -458,9 +463,9 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                 for qi in level_start..level_end {
                     let v = ws.s[qi];
                     let lane = (qi - level_start) as u32;
-                    if S::ENABLED {
+                    if O::ACCESSES {
                         // The thread dequeues its own Q_curr slot.
-                        sink.record(TraceEvent {
+                        obs.access(TraceEvent {
                             thread: lane,
                             array: KernelArray::QCurr,
                             index: qi as u32,
@@ -468,10 +473,10 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                         });
                     }
                     for &w in g.neighbors(v) {
-                        if S::ENABLED {
+                        if O::ACCESSES {
                             // atomicCAS(d[w], ∞, d[v] + 1) on every
                             // inspected edge (Algorithm 2, line 8).
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: lane,
                                 array: KernelArray::Dist,
                                 index: w,
@@ -482,16 +487,16 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                             // atomicCAS(d[w], ∞, d[v] + 1) winner
                             // enqueues w.
                             ws.dist[w as usize] = depth + 1;
-                            if S::ENABLED {
+                            if O::ACCESSES {
                                 // Queue-tail bump, then the write
                                 // into the claimed Q_next slot.
-                                sink.record(TraceEvent {
+                                obs.access(TraceEvent {
                                     thread: lane,
                                     array: KernelArray::Ends,
                                     index: depth + 1,
                                     kind: AccessKind::AtomicAdd,
                                 });
-                                sink.record(TraceEvent {
+                                obs.access(TraceEvent {
                                     thread: lane,
                                     array: KernelArray::QNext,
                                     index: ws.s.len() as u32,
@@ -500,11 +505,11 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                             }
                             ws.s.push(w);
                         }
-                        if S::ENABLED {
+                        if O::ACCESSES {
                             // The plain d[w] == d[v] + 1 check (line
                             // 11): a non-atomic read racing only
                             // against atomics.
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: lane,
                                 array: KernelArray::Dist,
                                 index: w,
@@ -512,14 +517,14 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                             });
                         }
                         if ws.dist[w as usize] == depth + 1 {
-                            if S::ENABLED {
-                                sink.record(TraceEvent {
+                            if O::ACCESSES {
+                                obs.access(TraceEvent {
                                     thread: lane,
                                     array: KernelArray::Sigma,
                                     index: v,
                                     kind: AccessKind::Read,
                                 });
-                                sink.record(TraceEvent {
+                                obs.access(TraceEvent {
                                     thread: lane,
                                     array: KernelArray::Sigma,
                                     index: w,
@@ -547,21 +552,21 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                     ws.f_next.clear();
                     for qi in level_start..level_end {
                         let v = ws.s[qi];
-                        if S::ENABLED {
+                        if O::ACCESSES {
                             let lane = (qi - level_start) as u32;
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: lane,
                                 array: KernelArray::QCurr,
                                 index: qi as u32,
                                 kind: AccessKind::Read,
                             });
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: lane,
                                 array: KernelArray::FrontierBits,
                                 index: v / VERTICES_PER_WORD,
                                 kind: AccessKind::AtomicOr,
                             });
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: lane,
                                 array: KernelArray::SummaryBits,
                                 index: v / VERTICES_PER_SUMMARY_WORD,
@@ -581,11 +586,11 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                 // `dist` while tracing an atomicCAS.
                 let n = g.num_vertices();
                 ws.pull_degrees.clear();
-                if S::ENABLED {
+                if O::ACCESSES {
                     // One lane per visited-bitmap word: the scan that
                     // yields this lane's unvisited vertices.
                     for word in 0..(n as u32).div_ceil(32) {
-                        sink.record(TraceEvent {
+                        obs.access(TraceEvent {
                             thread: word,
                             array: KernelArray::VisitedBits,
                             index: word,
@@ -603,13 +608,13 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                     ws.pull_degrees.push(deg);
                     let mut parents = 0u64;
                     for &v in g.neighbors(w) {
-                        if S::ENABLED {
+                        if O::ACCESSES {
                             // F_curr membership probe for the
                             // neighbor — a read-only bitmap during
                             // the scan (the compaction's atomicOrs
                             // are sequenced before it), so no
                             // synchronization.
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: w,
                                 array: KernelArray::FrontierBits,
                                 index: v / VERTICES_PER_WORD,
@@ -625,10 +630,10 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                             "compressed frontier diverged from distances at {v}"
                         );
                         if ws.f_curr.contains(v) {
-                            if S::ENABLED {
+                            if O::ACCESSES {
                                 // Parent σ gather: frontier cells are
                                 // never written during a pull level.
-                                sink.record(TraceEvent {
+                                obs.access(TraceEvent {
                                     thread: w,
                                     array: KernelArray::Sigma,
                                     index: v,
@@ -641,24 +646,24 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                     if parents > 0 {
                         ws.dist[w as usize] = depth + 1;
                         ws.f_next.set(w);
-                        if S::ENABLED {
+                        if O::ACCESSES {
                             // The owner alone writes its d and σ —
                             // pull needs no CAS and no σ atomicAdd.
                             // Discovery is announced with one
                             // word-granular atomicOr into F_next.
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: w,
                                 array: KernelArray::Dist,
                                 index: w,
                                 kind: AccessKind::Write,
                             });
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: w,
                                 array: KernelArray::Sigma,
                                 index: w,
                                 kind: AccessKind::Write,
                             });
-                            sink.record(TraceEvent {
+                            obs.access(TraceEvent {
                                 thread: w,
                                 array: KernelArray::NextBits,
                                 index: w / 32,
@@ -725,7 +730,6 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
             pull,
         };
         let priced = model.price(g, device, &info);
-        let level_seconds = device.block_iteration_seconds(&priced.work);
         charge(&mut out.counters, device, &priced);
         // Push inspects the frontier's out-edges; pull's useful
         // probes are the ones that found a frontier parent (the rest
@@ -738,11 +742,7 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
             },
             "useful_edge_inspections",
         );
-        out.frontier_sizes.push(level_end - level_start);
-        out.edge_frontier_sizes.push(frontier_edges);
-        out.forward_level_seconds.push(level_seconds);
-        out.forward_traversals.push(traversal);
-        if M::ENABLED {
+        if O::LEVELS {
             // Decision provenance: `prev_pull` still holds the
             // previous level's direction here.
             let switch = if depth == 0 {
@@ -755,7 +755,7 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                     (true, false) => SwitchReason::SwitchToPush,
                 }
             };
-            metrics.record_level(LevelMetrics {
+            obs.level(LevelMetrics {
                 phase: MetricPhase::Forward,
                 depth,
                 traversal: match traversal {
@@ -783,7 +783,7 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                 priced_atomics: priced.work.atomics,
                 frontier_words: pull_frontier_words,
                 summary_words: pull_summary_words,
-                seconds: level_seconds,
+                seconds: device.block_iteration_seconds(&priced.work),
                 switch: Some(switch),
             });
         }
@@ -805,23 +805,23 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
     while d > 0 {
         let level_start = ws.ends[d as usize] as usize;
         let level_end = ws.ends[d as usize + 1] as usize;
-        if S::ENABLED {
-            sink.begin_level(TracePhase::Backward, d);
+        if O::ACCESSES {
+            obs.begin_level(Phase::Backward, d);
         }
         let mut frontier_edges = 0u64;
         let mut updates = 0u64;
         for si in level_start..level_end {
             let w = ws.s[si];
             let lane = (si - level_start) as u32;
-            if S::ENABLED {
+            if O::ACCESSES {
                 // The thread reads its own stack slot, then σ[w].
-                sink.record(TraceEvent {
+                obs.access(TraceEvent {
                     thread: lane,
                     array: KernelArray::Stack,
                     index: si as u32,
                     kind: AccessKind::Read,
                 });
-                sink.record(TraceEvent {
+                obs.access(TraceEvent {
                     thread: lane,
                     array: KernelArray::Sigma,
                     index: w,
@@ -840,9 +840,9 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
             // adjacency-order sum would reassociate the floats.
             ws.contrib.clear();
             for &v in g.neighbors(w) {
-                if S::ENABLED {
+                if O::ACCESSES {
                     // The successor check d[v] == d + 1: plain read.
-                    sink.record(TraceEvent {
+                    obs.access(TraceEvent {
                         thread: lane,
                         array: KernelArray::Dist,
                         index: v,
@@ -850,14 +850,14 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
                     });
                 }
                 if ws.dist[v as usize] == d + 1 {
-                    if S::ENABLED {
-                        sink.record(TraceEvent {
+                    if O::ACCESSES {
+                        obs.access(TraceEvent {
                             thread: lane,
                             array: KernelArray::Sigma,
                             index: v,
                             kind: AccessKind::Read,
                         });
-                        sink.record(TraceEvent {
+                        obs.access(TraceEvent {
                             thread: lane,
                             array: KernelArray::Delta,
                             index: v,
@@ -874,10 +874,10 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
             for &c in &ws.contrib {
                 dsw += c;
             }
-            if S::ENABLED {
+            if O::ACCESSES {
                 // δ[w] is written exactly once, by its owner — the
                 // atomic-free store Algorithm 3 is safe to make.
-                sink.record(TraceEvent {
+                obs.access(TraceEvent {
                     thread: lane,
                     array: KernelArray::Delta,
                     index: w,
@@ -903,8 +903,8 @@ pub fn process_root_observed<S: TraceSink, M: MetricsSink>(
             frontier_edges,
             "useful_edge_inspections",
         );
-        if M::ENABLED {
-            metrics.record_level(LevelMetrics {
+        if O::LEVELS {
+            obs.level(LevelMetrics {
                 phase: MetricPhase::Backward,
                 depth: d,
                 traversal: MetricTraversal::Push,
@@ -981,6 +981,37 @@ mod tests {
         bc
     }
 
+    /// One search from `root` under `model` with a [`MetricsRecorder`]
+    /// attached: the outcome and the root's level records.
+    fn observe(
+        g: &Csr,
+        root: VertexId,
+        ws: &mut SearchWorkspace,
+        model: &mut dyn CostModel,
+    ) -> (RootOutcome, Vec<LevelMetrics>) {
+        let device = DeviceConfig::gtx_titan();
+        let mut bc = vec![0.0; g.num_vertices()];
+        let mut out = RootOutcome::default();
+        let mut rec = MetricsRecorder::default();
+        let ctx = RootContext {
+            g,
+            root,
+            device: &device,
+        };
+        process_root_observed(&ctx, ws, model, &mut bc, &mut out, &mut rec);
+        assert_eq!(rec.roots.len(), 1);
+        (out, rec.roots.pop().unwrap().levels)
+    }
+
+    /// `|Q_curr|` of each forward level — Figure 3's frontier trace.
+    fn frontier_sizes(levels: &[LevelMetrics]) -> Vec<u64> {
+        levels
+            .iter()
+            .filter(|l| l.phase == MetricPhase::Forward)
+            .map(|l| l.q_curr)
+            .collect()
+    }
+
     #[test]
     fn engine_matches_brandes_on_shapes() {
         for g in [gen::path(12), gen::star(9), gen::grid(4, 5), gen::cycle(9)] {
@@ -1007,16 +1038,14 @@ mod tests {
     #[test]
     fn outcome_describes_search() {
         let g = gen::path(6);
-        let device = DeviceConfig::gtx_titan();
         let mut ws = SearchWorkspace::new(6);
-        let mut bc = vec![0.0; 6];
-        let out = process_root(&g, 0, &device, &mut ws, &mut FreeModel, &mut bc);
+        let (out, levels) = observe(&g, 0, &mut ws, &mut FreeModel);
         assert_eq!(out.max_depth, 5);
         assert_eq!(out.reached, 6);
-        assert_eq!(out.frontier_sizes, vec![1, 1, 1, 1, 1, 1]);
+        assert_eq!(frontier_sizes(&levels), vec![1, 1, 1, 1, 1, 1]);
         // Path end vertex degrees: 1 then interior 2s.
-        assert_eq!(out.edge_frontier_sizes[0], 1);
-        assert_eq!(out.edge_frontier_sizes[2], 2);
+        assert_eq!(levels[0].edges_inspected, 1);
+        assert_eq!(levels[2].edges_inspected, 2);
     }
 
     #[test]
@@ -1079,11 +1108,22 @@ mod tests {
         };
         process_root_into(&ctx(0), &mut ws, &mut FreeModel, &mut bc, &mut out);
         assert_eq!(out.reached, 5);
-        process_root_into(&ctx(4), &mut ws, &mut FreeModel, &mut bc, &mut out);
-        assert_eq!(out.frontier_sizes.len(), 5);
-        assert_eq!(out.reached, 5);
-        assert_eq!(out.forward_traversals.len(), out.frontier_sizes.len());
-        assert_eq!(out.pull_levels(), 0, "default models never pull");
+        let mut rec = MetricsRecorder::default();
+        process_root_observed(
+            &ctx(2),
+            &mut ws,
+            &mut FreeModel,
+            &mut bc,
+            &mut out,
+            &mut rec,
+        );
+        assert_eq!((out.reached, out.max_depth), (5, 2));
+        let levels = &rec.roots[0].levels;
+        assert_eq!(frontier_sizes(levels), vec![1, 2, 2]);
+        assert!(
+            levels.iter().all(|l| l.traversal == MetricTraversal::Push),
+            "default models never pull"
+        );
     }
 
     /// Forces every forward level to run bottom-up (prices nothing).
@@ -1135,6 +1175,8 @@ mod tests {
                     &mut AlwaysPull,
                     &mut pull_bc,
                 );
+                let (_, push_levels) = observe(&g, root, &mut push_ws, &mut FreeModel);
+                let (_, pull_levels) = observe(&g, root, &mut pull_ws, &mut AlwaysPull);
                 assert_eq!(push_ws.dist(), pull_ws.dist(), "root {root}");
                 assert_eq!(push_ws.sigma(), pull_ws.sigma(), "root {root}");
                 assert_eq!(push_ws.stack(), pull_ws.stack(), "root {root}");
@@ -1142,11 +1184,12 @@ mod tests {
                 assert_eq!(push_ws.delta(), pull_ws.delta(), "root {root}");
                 assert_eq!(push_bc, pull_bc, "root {root}");
                 assert_eq!(push_out.max_depth, pull_out.max_depth);
-                assert_eq!(push_out.frontier_sizes, pull_out.frontier_sizes);
-                assert_eq!(push_out.edge_frontier_sizes, pull_out.edge_frontier_sizes);
+                assert_eq!(frontier_sizes(&push_levels), frontier_sizes(&pull_levels));
                 // Every forward level of a reachable search pulled.
                 if pull_out.max_depth > 0 {
-                    assert!(pull_out.pull_levels() > 0);
+                    assert!(pull_levels
+                        .iter()
+                        .any(|l| l.traversal == MetricTraversal::Pull));
                 }
             }
         }
@@ -1154,61 +1197,41 @@ mod tests {
 
     #[test]
     fn metrics_records_mirror_the_search() {
-        use bc_metrics::MetricsRecorder;
+        use bc_graph::traversal;
         let g = gen::erdos_renyi(80, 200, 11);
-        let device = DeviceConfig::gtx_titan();
         let mut ws = SearchWorkspace::new(g.num_vertices());
-        let mut bc = vec![0.0; g.num_vertices()];
-        let mut out = RootOutcome::default();
-        let mut rec = MetricsRecorder::default();
-        process_root_observed(
-            &RootContext {
-                g: &g,
-                root: 0,
-                device: &device,
-            },
-            &mut ws,
-            &mut FreeModel,
-            &mut bc,
-            &mut out,
-            &mut NullSink,
-            &mut rec,
-        );
-        assert_eq!(rec.roots.len(), 1);
-        let root = &rec.roots[0];
-        assert_eq!(root.root, 0);
-        assert_eq!(root.forward_levels(), out.frontier_sizes.len());
+        let (out, levels) = observe(&g, 0, &mut ws, &mut FreeModel);
+        let root = RootMetrics { root: 0, levels };
         assert_eq!(root.max_depth(), out.max_depth);
         let forward: Vec<_> = root
             .levels
             .iter()
-            .filter(|l| l.phase == bc_metrics::MetricPhase::Forward)
+            .filter(|l| l.phase == MetricPhase::Forward)
             .collect();
-        // Q_curr per level is the frontier trace; discoveries cover
-        // everything reached except the root itself.
-        let q_currs: Vec<u64> = forward.iter().map(|l| l.q_curr).collect();
-        let sizes: Vec<u64> = out.frontier_sizes.iter().map(|&s| s as u64).collect();
-        assert_eq!(q_currs, sizes);
+        assert_eq!(forward.len(), out.max_depth as usize + 1);
+        // Q_curr per level is the BFS frontier trace; discoveries
+        // cover everything reached except the root itself.
+        let sizes: Vec<u64> = traversal::frontier_sizes(&g, 0)
+            .iter()
+            .map(|&s| s as u64)
+            .collect();
+        assert_eq!(frontier_sizes(&root.levels), sizes);
         let discovered: u64 = forward.iter().map(|l| l.q_next).sum();
         assert_eq!(discovered, out.reached as u64 - 1);
-        // Push levels attempt one CAS per inspected edge and win one
-        // per discovery; the level seconds are the priced trace.
-        for (l, (&edges, &secs)) in forward.iter().zip(
-            out.edge_frontier_sizes
-                .iter()
-                .zip(&out.forward_level_seconds),
-        ) {
+        // Push levels attempt one CAS per inspected edge (the edge
+        // frontier) and win one per discovery.
+        let edges = traversal::edge_frontier_sizes(&g, 0);
+        for (l, &edges) in forward.iter().zip(&edges) {
             assert_eq!(l.edges_inspected, edges);
             assert_eq!(l.cas_attempts, edges);
             assert_eq!(l.cas_wins, l.q_next);
-            assert_eq!(l.seconds, secs);
         }
-        assert_eq!(forward[0].switch, Some(bc_metrics::SwitchReason::Start));
+        assert_eq!(forward[0].switch, Some(SwitchReason::Start));
         // Backward levels carry no CAS and no switch.
         for l in root
             .levels
             .iter()
-            .filter(|l| l.phase == bc_metrics::MetricPhase::Backward)
+            .filter(|l| l.phase == MetricPhase::Backward)
         {
             assert_eq!(l.cas_attempts, 0);
             assert_eq!(l.q_next, 0);
@@ -1217,13 +1240,57 @@ mod tests {
     }
 
     #[test]
-    fn ends_segments_match_bfs_levels() {
-        let g = gen::star(5);
+    fn observer_switches_default_off() {
+        // Read through a generic bound (not the literal constants) so
+        // the check sees what the engine's emission guards see.
+        fn switches<O: Observer>() -> (bool, bool) {
+            (O::LEVELS, O::ACCESSES)
+        }
+        assert_eq!(switches::<()>(), (false, false));
+        assert_eq!(switches::<MetricsRecorder>(), (true, false));
+    }
+
+    #[test]
+    fn recorder_groups_levels_under_roots() {
+        let g = Csr::from_undirected_edges(5, [(0, 1), (1, 2), (3, 4)]);
         let device = DeviceConfig::gtx_titan();
         let mut ws = SearchWorkspace::new(5);
         let mut bc = vec![0.0; 5];
-        let out = process_root(&g, 0, &device, &mut ws, &mut FreeModel, &mut bc);
-        assert_eq!(out.frontier_sizes, vec![1, 4]);
+        let mut out = RootOutcome::default();
+        let mut rec = MetricsRecorder::default();
+        for root in [0, 3, 2] {
+            let ctx = RootContext {
+                g: &g,
+                root,
+                device: &device,
+            };
+            process_root_observed(&ctx, &mut ws, &mut FreeModel, &mut bc, &mut out, &mut rec);
+        }
+        let roots: Vec<u32> = rec.roots.iter().map(|r| r.root).collect();
+        assert_eq!(roots, vec![0, 3, 2]);
+        // Forward levels 0..=max_depth, then backward levels
+        // max_depth-1 down to 1.
+        let shape = |r: &RootMetrics| -> Vec<(MetricPhase, u32)> {
+            r.levels.iter().map(|l| (l.phase, l.depth)).collect()
+        };
+        use MetricPhase::{Backward, Forward};
+        assert_eq!(
+            shape(&rec.roots[0]),
+            vec![(Forward, 0), (Forward, 1), (Forward, 2), (Backward, 1)]
+        );
+        assert_eq!(shape(&rec.roots[1]), vec![(Forward, 0), (Forward, 1)]);
+        assert_eq!(
+            shape(&rec.roots[2]),
+            vec![(Forward, 0), (Forward, 1), (Forward, 2), (Backward, 1)]
+        );
+    }
+
+    #[test]
+    fn ends_segments_match_bfs_levels() {
+        let g = gen::star(5);
+        let mut ws = SearchWorkspace::new(5);
+        let (out, levels) = observe(&g, 0, &mut ws, &mut FreeModel);
+        assert_eq!(frontier_sizes(&levels), vec![1, 4]);
         assert_eq!(out.max_depth, 1);
     }
 }

@@ -3,10 +3,11 @@
 //! sizes with per-iteration execution time), plus the compressed
 //! (hierarchical bitmap) frontier the bottom-up sweep consumes.
 
-use crate::engine::{process_root, SearchWorkspace};
+use crate::engine::{process_root_observed, RootContext, RootOutcome, SearchWorkspace};
 use crate::methods::models::WorkEfficientModel;
 use bc_gpusim::DeviceConfig;
 use bc_graph::{Csr, VertexId};
+use bc_metrics::{MetricPhase, MetricsRecorder};
 use serde::{Deserialize, Serialize};
 
 /// Vertices covered by one 32-bit leaf word of a
@@ -180,13 +181,27 @@ impl FrontierTrace {
 pub fn trace_root(g: &Csr, root: VertexId, device: &DeviceConfig) -> FrontierTrace {
     let mut ws = SearchWorkspace::new(g.num_vertices());
     let mut bc = vec![0.0; g.num_vertices()];
-    let mut model = WorkEfficientModel::default();
-    let out = process_root(g, root, device, &mut ws, &mut model, &mut bc);
+    let mut rec = MetricsRecorder::default();
+    process_root_observed(
+        &RootContext { g, root, device },
+        &mut ws,
+        &mut WorkEfficientModel::default(),
+        &mut bc,
+        &mut RootOutcome::default(),
+        &mut rec,
+    );
+    // The work-efficient model only pushes, so every forward level
+    // inspects exactly its edge frontier.
+    let forward: Vec<_> = rec.roots[0]
+        .levels
+        .iter()
+        .filter(|l| l.phase == MetricPhase::Forward)
+        .collect();
     FrontierTrace {
         root,
-        vertex_frontier: out.frontier_sizes,
-        edge_frontier: out.edge_frontier_sizes,
-        level_seconds: out.forward_level_seconds,
+        vertex_frontier: forward.iter().map(|l| l.q_curr as usize).collect(),
+        edge_frontier: forward.iter().map(|l| l.edges_inspected).collect(),
+        level_seconds: forward.iter().map(|l| l.seconds).collect(),
     }
 }
 

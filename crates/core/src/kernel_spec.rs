@@ -31,7 +31,8 @@
 //! distinct" ([`Axiom::DistinctFrontier`]) available to every later
 //! launch.
 
-use bc_gpusim::trace::{AccessKind, KernelArray, TracePhase};
+use crate::engine::Phase;
+use bc_gpusim::trace::{AccessKind, KernelArray};
 
 /// The five simulated kernels the engine launches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -367,11 +368,11 @@ impl LaunchId {
         }
     }
 
-    /// The trace phase whose levels this launch shape produces.
-    pub fn phase(self) -> TracePhase {
+    /// The engine phase whose levels this launch shape produces.
+    pub fn phase(self) -> Phase {
         match self {
-            LaunchId::ForwardPush | LaunchId::ForwardPull => TracePhase::Forward,
-            LaunchId::Backward => TracePhase::Backward,
+            LaunchId::ForwardPush | LaunchId::ForwardPull => Phase::Forward,
+            LaunchId::Backward => Phase::Backward,
         }
     }
 }
@@ -485,8 +486,8 @@ mod tests {
         let mut all = KernelId::ALL.to_vec();
         all.sort();
         assert_eq!(seen, all);
-        assert_eq!(LaunchId::ForwardPush.phase(), TracePhase::Forward);
-        assert_eq!(LaunchId::Backward.phase(), TracePhase::Backward);
+        assert_eq!(LaunchId::ForwardPush.phase(), Phase::Forward);
+        assert_eq!(LaunchId::Backward.phase(), Phase::Backward);
     }
 
     #[test]

@@ -49,11 +49,10 @@
 
 use crate::brandes;
 use crate::engine::{
-    process_root_into, process_root_observed, CostModel, FreeModel, RootContext, RootOutcome,
-    SearchWorkspace,
+    process_root_into, process_root_observed, CostModel, FreeModel, Observer, RootContext,
+    RootOutcome, SearchWorkspace,
 };
 use crate::schedule::{Schedule, ShardQueue};
-use bc_gpusim::trace::NullSink;
 use bc_gpusim::{DeviceConfig, KernelCounters, SimError};
 use bc_graph::{Csr, VertexId};
 use bc_metrics::{MetricsRecorder, RootMetrics, WorkerMetrics};
@@ -216,10 +215,11 @@ fn shard_costs(
 /// A panic inside `body` is contained: that worker stops without
 /// retiring its (possibly mid-update) state, the others drain, and the
 /// first panic comes back as [`SimError::WorkerPanic`] naming the
-/// shard. When `METERED`, claims are timed as idle and bodies as busy,
-/// and one [`WorkerMetrics`] per worker comes back in worker order;
-/// unmetered runs read no clocks and return no records.
-fn drive_shards<W, const METERED: bool>(
+/// shard. When the run's observer `O` keeps level records (a metered
+/// run), claims are timed as idle and bodies as busy, and one
+/// [`WorkerMetrics`] per worker comes back in worker order; unmetered
+/// runs read no clocks and return no records.
+fn drive_shards<W, O: Observer>(
     g: &Csr,
     roots: &[VertexId],
     threads: usize,
@@ -252,7 +252,7 @@ fn drive_shards<W, const METERED: bool>(
         let mut idle_nanos = 0u128;
         let mut roots_done = 0u64;
         while !panics.aborted() {
-            let claim_started = METERED.then(Instant::now);
+            let claim_started = O::LEVELS.then(Instant::now);
             let claimed = queue.claim(&mut claims);
             if let Some(t) = claim_started {
                 idle_nanos = idle_nanos
@@ -265,7 +265,7 @@ fn drive_shards<W, const METERED: bool>(
             let shard = shard as usize;
             let range = shard * size..((shard + 1) * size).min(num_roots);
             roots_done += range.len() as u64;
-            let work_started = METERED.then(Instant::now);
+            let work_started = O::LEVELS.then(Instant::now);
             // `state` may be mid-update when a panic unwinds, but this
             // worker stops and never touches it again, so
             // AssertUnwindSafe is sound.
@@ -281,7 +281,7 @@ fn drive_shards<W, const METERED: bool>(
             }
         }
         retire(state);
-        if METERED {
+        if O::LEVELS {
             let stats = claims.stats;
             records
                 .lock()
@@ -343,13 +343,13 @@ pub struct RootsRun {
 /// What one shard hands to the ordered merger besides its score
 /// accumulator. Shards are contiguous root ranges drained in shard
 /// order, so appending these restores global root order.
-struct ShardMeta<M> {
+struct ShardMeta<M, O> {
     per_root_seconds: Vec<f64>,
     max_depths: Vec<u32>,
     counters: KernelCounters,
     model: M,
-    /// Per-root metric records (empty on unmetered runs).
-    metrics: Vec<RootMetrics>,
+    /// The shard's observer, after it saw every root of the shard.
+    obs: O,
 }
 
 /// Merges per-shard score accumulators into the final vector in
@@ -485,7 +485,7 @@ pub fn run_roots_scheduled<M: ShardableCostModel>(
     schedule: Schedule,
     model: &mut M,
 ) -> Result<RootsRun, SimError> {
-    run_roots_inner::<M, false>(g, device, roots, threads, schedule, model).map(|(run, _, _)| run)
+    run_roots_inner::<M, ()>(g, device, roots, threads, schedule, model).map(|(run, _, _)| run)
 }
 
 /// [`run_roots_scheduled`] with metering: one [`RootMetrics`] record
@@ -504,25 +504,29 @@ pub fn run_roots_scheduled_metered<M: ShardableCostModel>(
     schedule: Schedule,
     model: &mut M,
 ) -> Result<(RootsRun, Vec<RootMetrics>, Vec<WorkerMetrics>), SimError> {
-    run_roots_inner::<M, true>(g, device, roots, threads, schedule, model)
+    let (run, recorders, workers) =
+        run_roots_inner::<M, MetricsRecorder>(g, device, roots, threads, schedule, model)?;
+    let metrics = recorders.into_iter().flat_map(|r| r.roots).collect();
+    Ok((run, metrics, workers))
 }
 
 /// The engine score run's shard body: search every root of the shard
-/// under a fresh fork of `model` into the worker's accumulator, then
-/// deposit it with the shard's per-root vectors into the ordered
-/// merger.
-fn run_roots_inner<M: ShardableCostModel, const METERED: bool>(
+/// under a fresh fork of `model` and a fresh observer `O` into the
+/// worker's accumulator, then deposit it with the shard's per-root
+/// vectors into the ordered merger. Returns one observer per shard, in
+/// shard order.
+fn run_roots_inner<M: ShardableCostModel, O: Observer + Default + Send>(
     g: &Csr,
     device: &DeviceConfig,
     roots: &[VertexId],
     threads: usize,
     schedule: Schedule,
     model: &mut M,
-) -> Result<(RootsRun, Vec<RootMetrics>, Vec<WorkerMetrics>), SimError> {
+) -> Result<(RootsRun, Vec<O>, Vec<WorkerMetrics>), SimError> {
     let n = g.num_vertices();
-    let merger: OrderedMerger<ShardMeta<M>> = OrderedMerger::new(n);
+    let merger: OrderedMerger<ShardMeta<M, O>> = OrderedMerger::new(n);
     let proto: &M = model;
-    let workers = drive_shards::<_, METERED>(
+    let workers = drive_shards::<_, O>(
         g,
         roots,
         threads,
@@ -536,14 +540,10 @@ fn run_roots_inner<M: ShardableCostModel, const METERED: bool>(
             let mut per_root_seconds = Vec::with_capacity(range.len());
             let mut max_depths = Vec::with_capacity(range.len());
             let mut counters = KernelCounters::default();
-            let mut recorder = MetricsRecorder::default();
+            let mut obs = O::default();
             for &r in &roots[range] {
                 let ctx = RootContext { g, root: r, device };
-                if METERED {
-                    process_root_observed(&ctx, ws, &mut m, acc, out, &mut NullSink, &mut recorder);
-                } else {
-                    process_root_into(&ctx, ws, &mut m, acc, out);
-                }
+                process_root_observed(&ctx, ws, &mut m, acc, out, &mut obs);
                 per_root_seconds.push(out.counters.seconds);
                 max_depths.push(out.max_depth);
                 counters.merge(&out.counters);
@@ -553,7 +553,7 @@ fn run_roots_inner<M: ShardableCostModel, const METERED: bool>(
                 max_depths,
                 counters,
                 model: m,
-                metrics: recorder.roots,
+                obs,
             };
             merger.deposit(shard, acc, meta);
         },
@@ -567,15 +567,15 @@ fn run_roots_inner<M: ShardableCostModel, const METERED: bool>(
         max_depths: Vec::with_capacity(roots.len()),
         counters: KernelCounters::default(),
     };
-    let mut metrics = Vec::new();
+    let mut observers = Vec::with_capacity(metas.len());
     for meta in metas {
         run.per_root_seconds.extend(meta.per_root_seconds);
         run.max_depths.extend(meta.max_depths);
         run.counters.merge(&meta.counters);
         model.merge_worker(meta.model);
-        metrics.extend(meta.metrics);
+        observers.push(meta.obs);
     }
-    Ok((run, metrics, workers))
+    Ok((run, observers, workers))
 }
 
 /// Exact CPU Brandes over an explicit root set, sharded across
@@ -596,7 +596,7 @@ pub fn cpu_betweenness_from_roots(
 ) -> Result<Vec<f64>, SimError> {
     let n = g.num_vertices();
     let merger: OrderedMerger<()> = OrderedMerger::new(n);
-    drive_shards::<_, false>(
+    drive_shards::<_, ()>(
         g,
         roots,
         threads,
@@ -663,7 +663,7 @@ pub fn run_roots_contributions<M: ShardableCostModel>(
     let n = g.num_vertices();
     let done: Mutex<Vec<(usize, Vec<RootContribution>, M)>> = Mutex::new(Vec::new());
     let proto: &M = model;
-    drive_shards::<_, false>(
+    drive_shards::<_, ()>(
         g,
         roots,
         threads,

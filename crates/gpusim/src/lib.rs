@@ -20,9 +20,9 @@
 //!   out-of-memory failures;
 //! * [`coarse_grained_makespan`] — the strided block-to-root schedule
 //!   used by coarse-grained BC kernels;
-//! * [`trace`] — logical per-thread memory-access events behind the
-//!   zero-cost-when-disabled [`trace::TraceSink`] trait, consumed by
-//!   the `bc-verify` race detector;
+//! * [`trace`] — the vocabulary of logical per-thread memory-access
+//!   events ([`trace::TraceEvent`]) the engine's observer receives,
+//!   consumed by the `bc-verify` race detector;
 //! * [`fault`] — deterministic fault-injection hooks ([`FaultHook`])
 //!   through which a scheduler receives simulated transient faults,
 //!   device losses, OOMs, and worker panics, consumed by the

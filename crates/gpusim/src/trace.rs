@@ -14,10 +14,10 @@
 //! engine stays single-threaded; the trace reconstructs the
 //! concurrency structure of one simulated kernel launch per level.
 //!
-//! Tracing is zero-cost when disabled: the engine is generic over
-//! [`TraceSink`] and every emission site is guarded by the associated
-//! constant [`TraceSink::ENABLED`], which is `false` for [`NullSink`],
-//! so the event construction compiles out of untraced builds.
+//! The engine hands these events to its one observation hook,
+//! `bc_core::engine::Observer`; every emission site is guarded by the
+//! observer's `ACCESSES` constant, so event construction compiles out
+//! of untraced runs.
 
 /// The named per-root arrays of the paper's Algorithms 1–3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -128,16 +128,6 @@ impl AccessKind {
     }
 }
 
-/// Which half of Brandes' algorithm a traced level belongs to
-/// (mirrors `bc_core::engine::Phase` without the reverse dependency).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TracePhase {
-    /// Shortest-path calculation (Algorithm 2).
-    Forward,
-    /// Dependency accumulation (Algorithm 3).
-    Backward,
-}
-
 /// One logical access by one logical thread.
 ///
 /// `thread` is the lane the work-efficient kernel assigns the access
@@ -155,40 +145,6 @@ pub struct TraceEvent {
     pub index: u32,
     /// Access flavor.
     pub kind: AccessKind,
-}
-
-/// Receiver for the engine's access events.
-///
-/// A level corresponds to one simulated kernel launch: every event
-/// recorded between two [`begin_level`] calls executes concurrently
-/// across its logical threads, with a device-wide barrier between
-/// levels.
-///
-/// [`begin_level`]: TraceSink::begin_level
-pub trait TraceSink {
-    /// Statically `true` when this sink observes events. Emission
-    /// sites are guarded by this constant so a disabled sink costs
-    /// nothing — not even event construction.
-    const ENABLED: bool = true;
-
-    /// A new level (kernel launch) begins; subsequent events belong
-    /// to it.
-    fn begin_level(&mut self, phase: TracePhase, depth: u32);
-
-    /// One logical access within the current level.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// The disabled sink: all emission sites compile out.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    const ENABLED: bool = false;
-
-    fn begin_level(&mut self, _phase: TracePhase, _depth: u32) {}
-
-    fn record(&mut self, _event: TraceEvent) {}
 }
 
 #[cfg(test)]
@@ -214,25 +170,5 @@ mod tests {
         assert_eq!(KernelArray::VisitedBits.name(), "visited");
         assert_eq!(KernelArray::FrontierBits.name(), "F_curr");
         assert_eq!(KernelArray::NextBits.name(), "F_next");
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        // Read through a function parameter so the assertion isn't a
-        // compile-time constant to the lint.
-        fn enabled<S: TraceSink>(_: &S) -> bool {
-            S::ENABLED
-        }
-        assert!(!enabled(&NullSink));
-        // And is still callable (the guard, not the sink, removes the
-        // call site).
-        let mut s = NullSink;
-        s.begin_level(TracePhase::Forward, 0);
-        s.record(TraceEvent {
-            thread: 0,
-            array: KernelArray::Dist,
-            index: 0,
-            kind: AccessKind::Read,
-        });
     }
 }

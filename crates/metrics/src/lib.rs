@@ -9,13 +9,13 @@
 //! summaries (warp efficiency, memory transactions, kernel launches)
 //! and per-GPU cluster phase timelines.
 //!
-//! The hook family mirrors `bc_gpusim::trace::TraceSink`: a
-//! [`MetricsSink`] trait with an associated `const ENABLED`, a
-//! [`NullMetrics`] no-op whose `ENABLED = false` lets every emission
-//! site compile away, and a [`MetricsRecorder`] that keeps everything.
-//! Because the sinks observe values the engine has already computed,
-//! enabling them cannot perturb scores or priced timings: recorders
-//! only copy, never reorder.
+//! The engine reports levels through its one observation hook,
+//! `bc_core::engine::Observer`, which is implemented for
+//! [`MetricsRecorder`]: one [`LevelMetrics`] record per kernel launch,
+//! grouped per root. A run without a recorder compiles every emission
+//! site away. Because the recorder observes values the engine has
+//! already computed, enabling it cannot perturb scores or priced
+//! timings: it only copies, never reorders.
 //!
 //! Everything is serializable through the vendored `serde` stub and
 //! renders to JSONL via [`jsonl`] — one self-describing `{"kind":
@@ -28,14 +28,14 @@ pub mod cluster;
 pub mod jsonl;
 pub mod record;
 pub mod serve;
-pub mod sink;
 pub mod summary;
 pub mod worker;
 
 pub use cluster::{ClusterMetrics, ClusterMetricsSummary, GpuTimeline};
 pub use jsonl::{cluster_to_jsonl, run_to_jsonl, serve_to_jsonl};
-pub use record::{LevelMetrics, MetricPhase, MetricTraversal, RootMetrics, SwitchReason};
+pub use record::{
+    LevelMetrics, MetricPhase, MetricTraversal, MetricsRecorder, RootMetrics, SwitchReason,
+};
 pub use serve::{RequestLatency, ServeRow};
-pub use sink::{MetricsRecorder, MetricsSink, NullMetrics};
 pub use summary::{HardwareSummary, MetricsSummary, RunMetrics};
 pub use worker::WorkerMetrics;

@@ -110,6 +110,15 @@ impl RootMetrics {
     }
 }
 
+/// Keeps every level record, grouped per root in emission order. The
+/// engine fills it through its observer hook (`bc_core::engine`
+/// implements `Observer` for it).
+#[derive(Clone, Debug, Default)]
+pub struct MetricsRecorder {
+    /// The recorded roots, in the order their searches ran.
+    pub roots: Vec<RootMetrics>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

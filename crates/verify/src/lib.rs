@@ -10,7 +10,8 @@
 //! turns the pricing assumptions into machine-checked facts:
 //!
 //! * [`trace`] — records the engine's logical per-thread access
-//!   events ([`bc_gpusim::trace`]) into a replayable [`Trace`], and
+//!   events ([`bc_gpusim::trace`]) and its per-launch level records
+//!   into a replayable [`Trace`] through one engine observer, and
 //!   synthesizes the *predecessor-style* accumulation trace the paper
 //!   rejects (with and without atomics);
 //! * [`race`] — a phase-aware detector flagging write–write and
@@ -21,9 +22,11 @@
 //!   σ-consistency, the per-root dependency identity
 //!   `Σ δ(v) = Σ (d(t) − 1)`, and final-score sanity including the
 //!   Brandes pair-sum identity;
-//! * [`replay`] — drives one root through the traced engine under a
-//!   recording cost model and cross-checks priced atomics against
-//!   traced atomics per level;
+//! * [`replay`] — drives one root through the observed engine once
+//!   and checks races, search-state invariants, priced against traced
+//!   atomics, atomic-free backward levels, and every level record's
+//!   counters (edges inspected, CAS attempts/wins, σ-updates) against
+//!   the access events of the same launch;
 //! * [`fault_equiv`] — runs the cluster under a battery of seeded
 //!   fault plans and asserts the scores stay bitwise identical to
 //!   the fault-free run (the fault-tolerance layer's correctness
@@ -40,11 +43,9 @@
 //!   per-query cold recomputes under every schedule × traversal ×
 //!   thread combination, a seeded stale-cache mutant must be
 //!   flagged, and emitted serve rows must replay bit-for-bit;
-//! * [`metrics_check`] — runs one root with the trace recorder and
-//!   the [`bc_metrics`] recorder attached simultaneously and checks
-//!   every exported counter (edges inspected, CAS attempts/wins,
-//!   σ-updates, priced atomics) against the corresponding access
-//!   events in the trace.
+//! * [`metrics_check`] — the per-level counter identities `replay`
+//!   applies, and the replay of a metered run's per-worker scheduling
+//!   records against shard geometry.
 //!
 //! The `bc-verify` binary runs the whole suite over the bundled
 //! dataset analogues plus a seeded-bug self-test (the broken
@@ -71,7 +72,7 @@ pub use fault_equiv::{check_fault_equivalence, recoverable_plans};
 pub use invariants::{
     check_csr, check_csr_parts, check_pair_sum, check_scores, check_search_state, Violation,
 };
-pub use metrics_check::{check_root_metrics, check_worker_metrics, MetricsCrossCheck};
+pub use metrics_check::check_worker_metrics;
 pub use race::{check_trace, RaceReport};
 pub use relabel_equiv::{check_relabel_equivalence, relabel_battery};
 pub use replay::{verify_root, verify_root_with, RootVerification};

@@ -24,7 +24,8 @@
 //! in the same level.
 
 use crate::trace::{LevelTrace, Trace};
-use bc_gpusim::trace::{AccessKind, KernelArray, TracePhase};
+use bc_core::engine::Phase;
+use bc_gpusim::trace::{AccessKind, KernelArray};
 use std::fmt;
 
 /// Conflict flavor of a detected race.
@@ -41,7 +42,7 @@ pub enum RaceKind {
 #[derive(Clone, Debug)]
 pub struct RaceReport {
     /// Phase of the racy kernel launch.
-    pub phase: TracePhase,
+    pub phase: Phase,
     /// BFS depth of the racy level.
     pub depth: u32,
     /// The array holding the contested cell.
@@ -146,7 +147,7 @@ mod tests {
 
     fn level(events: Vec<(u32, KernelArray, u32, AccessKind)>) -> LevelTrace {
         LevelTrace {
-            phase: TracePhase::Backward,
+            phase: Phase::Backward,
             depth: 1,
             events: events
                 .into_iter()
@@ -157,6 +158,7 @@ mod tests {
                     kind,
                 })
                 .collect(),
+            metrics: None,
         }
     }
 

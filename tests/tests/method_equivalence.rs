@@ -28,10 +28,18 @@ fn all_methods_match_brandes_on_elementary_shapes() {
 
 #[test]
 fn all_methods_match_brandes_on_dataset_analogues() {
-    // Tiny instances of all ten Table II classes.
+    // Small instances of all ten Table II classes, on a strided root
+    // sample. 1024 roots exceed sampling's 512-root decision phase, so
+    // its second phase runs too.
+    let selection = RootSelection::Strided(1024);
+    let opts = BcOptions {
+        roots: selection.clone(),
+        ..BcOptions::default()
+    };
     for d in DatasetId::ALL {
         let g = d.small_instance(13);
-        let expect = cpu_parallel::betweenness(&g).unwrap();
+        let roots = selection.resolve(g.num_vertices());
+        let expect = cpu_parallel::betweenness_from_roots(&g, &roots).unwrap();
         // GPU-FAN may OOM on larger instances; these are tiny.
         for method in [
             Method::WorkEfficient,
@@ -39,8 +47,18 @@ fn all_methods_match_brandes_on_dataset_analogues() {
             Method::Sampling(Default::default()),
             Method::EdgeParallel,
         ] {
-            let got = run_all(&method, &g);
-            assert_scores_eq(&expect, &got);
+            let run = method
+                .run(&g, &opts)
+                .unwrap_or_else(|e| panic!("{} failed: {e}", method.name()));
+            assert_eq!(run.report.roots_processed, roots.len(), "{}", d.name());
+            if let Method::Sampling(params) = &method {
+                assert!(
+                    run.report.roots_processed > params.n_samps,
+                    "{}: sampling's second phase must run",
+                    d.name()
+                );
+            }
+            assert_scores_eq(&expect, &run.scores);
         }
     }
 }

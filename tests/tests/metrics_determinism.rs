@@ -8,9 +8,15 @@ use bc_cluster::{
     run_cluster_durable_metered, run_cluster_with_faults, ClusterConfig, DurabilityOptions,
     FaultPlan,
 };
+use bc_core::engine::{CostModel, LevelInfo, PricedIteration};
 use bc_core::methods::models::WorkEfficientModel;
-use bc_core::{run_roots, run_roots_scheduled_metered, BcOptions, Method, RootSelection, Schedule};
-use bc_graph::gen;
+use bc_core::{
+    run_roots, run_roots_scheduled_metered, BcOptions, Method, RootSelection, Schedule,
+    TraversalMode,
+};
+use bc_gpusim::DeviceConfig;
+use bc_graph::{gen, Csr};
+use bc_metrics::MetricTraversal;
 
 #[test]
 fn every_method_is_bitwise_identical_with_metrics_attached() {
@@ -58,6 +64,63 @@ fn every_method_is_bitwise_identical_with_metrics_attached() {
             "{name}: embedded summary"
         );
     }
+}
+
+/// Prices nothing but keeps the trait's default initialization price —
+/// the one every in-tree model charges before its first level.
+struct DefaultInit;
+
+impl CostModel for DefaultInit {
+    fn price(&mut self, _g: &Csr, _d: &DeviceConfig, _l: &LevelInfo<'_>) -> PricedIteration {
+        PricedIteration::default()
+    }
+}
+
+#[test]
+fn priced_levels_sum_to_per_root_seconds() {
+    // The level stream is the only per-level channel: for every root,
+    // the initialization price plus its records' seconds, summed in
+    // emission order, must be the reported per-root seconds bitwise.
+    let g = gen::watts_strogatz(600, 8, 0.1, 5);
+    let device = BcOptions::default().device;
+    let init = device.block_iteration_seconds(&DefaultInit.price_init(&g, &device).work);
+    let mut pull_levels = 0;
+    for traversal in [TraversalMode::Push, TraversalMode::Auto] {
+        let opts = BcOptions {
+            roots: RootSelection::Strided(16),
+            threads: 2,
+            traversal,
+            ..BcOptions::default()
+        };
+        for method in Method::all() {
+            let name = method.name();
+            let (run, metrics) = method.run_metered(&g, &opts).expect("metered run");
+            let reported = &run.report.per_root_seconds;
+            assert_eq!(
+                metrics.per_root.len(),
+                reported.len(),
+                "{name} {traversal:?}"
+            );
+            for (root, &secs) in metrics.per_root.iter().zip(reported) {
+                let mut sum = init;
+                for level in &root.levels {
+                    sum += level.seconds;
+                }
+                assert_eq!(
+                    sum.to_bits(),
+                    secs.to_bits(),
+                    "{name} {traversal:?} root {}: {sum:e} vs {secs:e}",
+                    root.root
+                );
+                pull_levels += root
+                    .levels
+                    .iter()
+                    .filter(|l| l.traversal == MetricTraversal::Pull)
+                    .count();
+            }
+        }
+    }
+    assert!(pull_levels > 0, "auto mode must price some pull levels");
 }
 
 #[test]

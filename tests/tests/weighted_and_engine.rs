@@ -1,10 +1,13 @@
 //! Property tests for the weighted-BC extension and the shared
 //! engine's internal invariants.
 
-use bc_core::engine::{process_root, FreeModel, SearchWorkspace};
+use bc_core::engine::{
+    process_root_observed, FreeModel, RootContext, RootOutcome, SearchWorkspace,
+};
 use bc_core::{brandes, weighted};
 use bc_gpusim::DeviceConfig;
 use bc_graph::{gen, traversal, WeightedCsr};
+use bc_metrics::{MetricPhase, MetricsRecorder};
 use proptest::prelude::*;
 
 proptest! {
@@ -86,14 +89,25 @@ proptest! {
         let device = DeviceConfig::gtx_titan();
         let mut ws = SearchWorkspace::new(n);
         let mut bc = vec![0.0; n];
-        let out = process_root(&g, 0, &device, &mut ws, &mut FreeModel, &mut bc);
+        let mut out = RootOutcome::default();
+        let mut rec = MetricsRecorder::default();
+        let ctx = RootContext { g: &g, root: 0, device: &device };
+        process_root_observed(&ctx, &mut ws, &mut FreeModel, &mut bc, &mut out, &mut rec);
+        let forward: Vec<_> = rec.roots[0]
+            .levels
+            .iter()
+            .filter(|l| l.phase == MetricPhase::Forward)
+            .collect();
+        let frontier_sizes: Vec<usize> = forward.iter().map(|l| l.q_curr as usize).collect();
         // Frontier sizes partition the reached set.
-        prop_assert_eq!(out.frontier_sizes.iter().sum::<usize>(), out.reached);
+        prop_assert_eq!(frontier_sizes.iter().sum::<usize>(), out.reached);
         // They match the reference BFS level sizes.
         let reference = traversal::frontier_sizes(&g, 0);
-        prop_assert_eq!(&out.frontier_sizes, &reference);
-        // Edge frontiers match too.
-        prop_assert_eq!(&out.edge_frontier_sizes, &traversal::edge_frontier_sizes(&g, 0));
+        prop_assert_eq!(&frontier_sizes, &reference);
+        // Edge frontiers match too (FreeModel only pushes, so each
+        // level inspects exactly its edge frontier).
+        let edge_frontier_sizes: Vec<u64> = forward.iter().map(|l| l.edges_inspected).collect();
+        prop_assert_eq!(&edge_frontier_sizes, &traversal::edge_frontier_sizes(&g, 0));
         // max_depth equals the eccentricity.
         prop_assert_eq!(out.max_depth, traversal::eccentricity(&g, 0));
         // dist/sigma agree with the Brandes reference.
