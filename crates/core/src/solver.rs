@@ -552,7 +552,7 @@ impl Method {
     /// (plus the hardware roll-up) in `report.metrics`. Everything
     /// else in the returned [`BcRun`] — scores and every priced
     /// timing — is bitwise identical to [`Method::run`]'s output,
-    /// because the metrics sink only observes values the engine
+    /// because the metrics recorder only observes values the engine
     /// already computed.
     pub fn run_metered(&self, g: &Csr, opts: &BcOptions) -> Result<(BcRun, RunMetrics), SimError> {
         self.run_impl::<true>(g, opts)
