@@ -57,7 +57,8 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo run -q -p bc-bench --release --bin bench_direction -- --quick 1 --roots 4
     # Fault-injection smoke: the sweep binary asserts every
     # recoverable fault plan reproduces the fault-free scores bitwise
-    # (bc-verify stage 4 covers the same claim at suite scale).
+    # (bc-verify's `Faults` harness transform covers the same claim:
+    # six plans x two graphs x widths 2/4).
     echo "==> bench_faults smoke"
     cargo run -q -p bc-bench --release --bin bench_faults -- --quick 1
     # CLI fault path: a faulted cluster run must recover, verify, and
@@ -105,7 +106,9 @@ if [[ "${1:-}" != "fast" ]]; then
     # Durability smoke: the bench kills the durable runner at five
     # points, resumes each from its checkpoint, and hard-asserts the
     # resumed scores are bitwise identical to the uninterrupted run;
-    # it also drives both rungs of the graceful-degradation ladder.
+    # it also drives both rungs of the graceful-degradation ladder
+    # (bc-verify's `Resume` harness transform covers the resume and
+    # partition-rung claims; its sampled-rung check covers the other).
     echo "==> bench_durability smoke"
     cargo run -q -p bc-bench --release --bin bench_durability -- --quick 1
     # CLI durability path: kill a checkpointed cluster run mid-flight
@@ -126,9 +129,10 @@ if [[ "${1:-}" != "fast" ]]; then
     # are bitwise identical to per-query cold recomputes, that the
     # cache is exercised on every workload, and that coalescing
     # strictly reduces priced device seconds vs the unbatched,
-    # uncached baseline (bc-verify stage 8 covers the same claims
-    # at suite scale: 27 combos x 10 dataset analogues + the
-    # stale-cache mutant).
+    # uncached baseline (bc-verify's `ServeEdits` harness transform
+    # covers the bitwise and cache-hit claims: 27 combos x 10 dataset
+    # analogues + the SkipEpochBump mutant; the priced-seconds claim
+    # is this bench's alone).
     echo "==> bench_serve smoke"
     cargo run -q -p bc-bench --release --bin bench_serve -- --quick 1
     # bc-serve request smoke: open-loop traffic with live edits must

@@ -23,8 +23,9 @@
 use bc_bench::{fmt_seconds, print_table, write_json, Args};
 use bc_graph::DatasetId;
 use bc_metrics::{serve_to_jsonl, ServeRow};
-use bc_serve::{percentile, Answer, BcServer, ClosedLoop, Event, QueryMix, ServeConfig};
-use bc_verify::{cold_references, serve_stream};
+use bc_serve::{percentile, BcServer, ClosedLoop, Event, QueryMix, ServeConfig, ServeOutcome};
+use bc_verify::harness::{diverge, Keyed};
+use bc_verify::{answers_keyed, cold_references, serve_stream};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -81,19 +82,9 @@ fn priced_total(rows: &[ServeRow]) -> f64 {
         .sum()
 }
 
-fn answers_bitwise_eq(a: &Answer, b: &Answer) -> bool {
-    fn pairs(x: &[(u32, f64)], y: &[(u32, f64)]) -> bool {
-        x.len() == y.len()
-            && x.iter()
-                .zip(y)
-                .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
-    }
-    match (a, b) {
-        (Answer::TopK(x), Answer::TopK(y)) => pairs(x, y),
-        (Answer::SubgraphBc(x), Answer::SubgraphBc(y)) => pairs(x, y),
-        (Answer::PerVertex(x), Answer::PerVertex(y)) => x.to_bits() == y.to_bits(),
-        _ => false,
-    }
+/// A serving run's answers, keyed by request id for the oracle.
+fn served(out: &ServeOutcome) -> Keyed {
+    answers_keyed(out.responses.iter().map(|r| (r.id, &r.answer)))
 }
 
 fn main() {
@@ -133,20 +124,18 @@ fn main() {
             .filter(|e| matches!(e, Event::Query(_)))
             .count();
         let refs = cold_references(&g, &batched, &events);
+        let cold = answers_keyed(refs.iter().map(|(&id, a)| (id, a)));
         let t = Instant::now();
         let mut server = BcServer::single(g.clone(), batched.clone());
         let out = server.run(events.clone()).expect("batched serving run");
         let wall = t.elapsed().as_secs_f64();
 
-        let mut bitwise = true;
-        for resp in &out.responses {
-            if !answers_bitwise_eq(&resp.answer, &refs[&resp.id]) {
-                bitwise = false;
-            }
-        }
+        let divergence = diverge(&cold, &served(&out));
+        let bitwise = divergence.is_none();
         assert!(
             bitwise,
-            "{name}: batched responses diverge from cold recompute"
+            "{name}: batched responses diverge from cold recompute: {}",
+            divergence.map_or(String::new(), |d| d.to_string())
         );
         let stats = server.cache_stats();
         assert!(
@@ -186,11 +175,8 @@ fn main() {
         };
         let mut baseline = BcServer::single(g.clone(), unbatched);
         let base_out = baseline.run(events).expect("unbatched serving run");
-        for resp in &base_out.responses {
-            assert!(
-                answers_bitwise_eq(&resp.answer, &refs[&resp.id]),
-                "{name}: unbatched baseline diverges from cold recompute"
-            );
+        if let Some(d) = diverge(&cold, &served(&base_out)) {
+            panic!("{name}: unbatched baseline diverges from cold recompute: {d}");
         }
         let batched_priced = priced_total(&out.rows);
         let unbatched_priced = priced_total(&base_out.rows);

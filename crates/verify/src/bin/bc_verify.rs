@@ -19,34 +19,37 @@
 //!    launch.
 //! 3. **Exact-score identities** — small all-roots runs checked
 //!    against the Brandes pair-sum identity.
-//! 4. **Fault-tolerance equivalence** — the cluster runner under a
-//!    battery of seeded fault plans (retries, contained panics, GPU
-//!    deaths, stragglers, lossy reduces) must return scores bitwise
-//!    identical to the fault-free run, and an unrecoverable plan must
-//!    fail structurally, never via a process panic.
-//! 5. **Metrics replay** — a metered sampling run under each dynamic
-//!    schedule must reproduce the static run's scores and per-root
-//!    metrics stream bitwise, with per-worker records that replay
-//!    against shard geometry; and a serving workload run twice must
-//!    emit bitwise-equal, balanced serve rows.
-//! 6. **Relabel equivalence** — degree-ordered relabeling must be
-//!    bitwise invisible across directions, threads, schedules, and
-//!    methods.
-//! 7. **Checkpoint/resume equivalence** — the durable cluster runner
-//!    killed at seeded early/mid/late points under every schedule ×
-//!    traversal combination (a recoverable fault plan layered on) and
-//!    resumed from its checkpoint must reproduce the uninterrupted
-//!    scores bitwise; corrupted, mismatched, and stale checkpoints
-//!    must be rejected structurally; and the graceful-degradation
-//!    ladder must partition (bitwise) and sample (bounded error) as
-//!    claimed.
-//! 8. **Serving equivalence** — seeded random query streams (with
-//!    interleaved edge edits) through the batched, epoch-cached
-//!    `bc-serve` layer must answer bitwise identically to per-query
-//!    cold recomputes on the shadow-edited graph, across 3 schedules
-//!    × push/pull/auto × 1/2/4 threads on every dataset analogue; a
-//!    server seeded with the `SkipEpochBump` stale-cache mutation
-//!    must serve detectably stale scores.
+//!
+//! Stages 4–8 run the differential-equivalence harness
+//! (`bc_verify::harness`): each is one transform swept over an axis
+//! matrix, held bitwise to its baseline by one oracle that reports the
+//! first divergence with its ULP distance, and flagged if it did
+//! nothing. Each stage also flips one ULP of its transform's output
+//! and requires the oracle to report exactly that entry.
+//!
+//! 4. **Faults** — the cluster runner under six seeded recoverable
+//!    fault plans (retries, contained panics, GPU deaths, stragglers,
+//!    lossy reduces) on two graphs at widths 2 and 4; an unrecoverable
+//!    plan must fail structurally, never via a process panic.
+//! 5. **Schedule** — a metered sampling run under each dynamic
+//!    schedule against static: scores and per-root metrics stream
+//!    bitwise, per-worker records replayed against shard geometry;
+//!    and a serving workload run twice must emit bitwise-equal,
+//!    balanced serve rows.
+//! 6. **Relabel** — degree-ordered relabeling across push/pull/auto ×
+//!    1/2/4 threads × 3 schedules, and for every method.
+//! 7. **Kill-and-resume** — the durable cluster runner killed at
+//!    early/mid/late points under every schedule × traversal (a
+//!    recoverable fault overlay layered on) and resumed from its
+//!    checkpoint; the corrupt, mismatch and stale checkpoint mutants
+//!    must be rejected; the degradation ladder's partition rung runs
+//!    as a transform case and its sampled rung as a plain check.
+//! 8. **Serve with edits** — seeded query streams with interleaved
+//!    edge edits through the batched, epoch-cached `bc-serve` layer,
+//!    against cold recomputes on the shadow-edited graph, across 3
+//!    schedules × push/pull/auto × 1/2/4 threads on every dataset
+//!    analogue; the `SkipEpochBump` stale-cache mutant must be flagged
+//!    on each.
 //!
 //! Each stage prints its wall time after its results. Exit status is
 //! non-zero if any stage fails.
@@ -54,15 +57,20 @@
 #![forbid(unsafe_code)]
 
 use bc_core::engine::{process_root, FreeModel, SearchWorkspace};
-use bc_core::{DirectionOptimizingModel, TraversalMode};
+use bc_core::{DirectionOptimizingModel, Schedule, TraversalMode};
 use bc_gpusim::DeviceConfig;
 use bc_graph::{gen, Csr, DatasetId};
-use bc_verify::trace::{predecessor_accumulation_trace, pull_bitmap_trace};
+use bc_verify::trace::{predecessor_accumulation_trace, pull_bitmap_trace, Trace};
 use bc_verify::{
-    check_csr, check_pair_sum, check_scores, check_trace, verify_root, verify_root_with,
+    check, check_csr, check_mutants, check_pair_sum, check_scores, check_trace, matrix,
+    verify_root, verify_root_with, Axis, Faults, Mutant, Relabel, Transform, Violation,
 };
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// The axis point single-point checks run at; stages override its
+/// traversal and width where they need another.
+const AT: Axis = Axis::new(Schedule::Static, TraversalMode::Push, 1);
 
 struct Options {
     reduction: u32,
@@ -90,26 +98,10 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
         match arg.as_str() {
-            "--reduction" => {
-                opts.reduction = value("--reduction")?
-                    .parse()
-                    .map_err(|e| format!("--reduction: {e}"))?;
-            }
-            "--roots" => {
-                opts.roots = value("--roots")?
-                    .parse()
-                    .map_err(|e| format!("--roots: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--reduction" => opts.reduction = value(&arg, args.next())?,
+            "--roots" => opts.roots = value(&arg, args.next())?,
+            "--seed" => opts.seed = value(&arg, args.next())?,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -123,68 +115,55 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Stage 1: the planted race. Returns the number of failures.
+/// Parse the value given after `flag`.
+fn value<T: std::str::FromStr>(flag: &str, given: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let given = given.ok_or_else(|| format!("{flag} requires a value"))?;
+    given.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Stage 1: the planted races. The atomic-free predecessor-style
+/// accumulation and the bottom-up pull kernel whose `F_next`
+/// announcement drops its word-granular `atomicOr` must be flagged;
+/// their atomic variants and the engine's real kernels must pass.
+/// Returns the number of failures.
 fn seeded_bug_self_test(device: &DeviceConfig) -> usize {
     let mut failures = 0;
-    let graphs: Vec<(&str, Csr)> = vec![
+    for (name, g) in [
         ("grid(8,8)", gen::grid(8, 8)),
         ("erdos_renyi(200,600)", gen::erdos_renyi(200, 600, 9)),
         ("watts_strogatz(150,6)", gen::watts_strogatz(150, 6, 0.1, 4)),
-    ];
-    for (name, g) in &graphs {
+    ] {
         let mut ws = SearchWorkspace::new(g.num_vertices());
         let mut bc = vec![0.0; g.num_vertices()];
-        process_root(g, 0, device, &mut ws, &mut FreeModel, &mut bc);
-
-        let broken = check_trace(&predecessor_accumulation_trace(g, &ws, false));
-        if broken.is_empty() {
-            println!("FAIL seeded-bug {name}: atomic-free predecessor accumulation NOT flagged");
+        process_root(&g, 0, device, &mut ws, &mut FreeModel, &mut bc);
+        type Synth = fn(&Csr, &SearchWorkspace, bool) -> Trace;
+        let kernels: [(&str, Synth); 2] = [
+            ("predecessor accumulation", predecessor_accumulation_trace),
+            ("F_next bitmap announcement", pull_bitmap_trace),
+        ];
+        for ((kernel, synth), atomic) in kernels.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+            let races = check_trace(&synth(&g, &ws, atomic));
+            let what = format!("{} {kernel}", if atomic { "atomic" } else { "plain" });
+            match (races.first(), atomic) {
+                (None, false) => println!("FAIL seeded-bug {name}: {what} NOT flagged"),
+                (Some(r), true) => println!("FAIL seeded-bug {name}: {what} wrongly flagged: {r}"),
+                (Some(r), false) => {
+                    let n = races.len();
+                    println!("ok   seeded-bug {name}: {what} flagged ({n} racy cells, e.g. {r})");
+                    continue;
+                }
+                (None, true) => continue,
+            }
             failures += 1;
-        } else {
-            println!(
-                "ok   seeded-bug {name}: broken accumulation flagged ({} racy cells, e.g. {})",
-                broken.len(),
-                broken[0]
-            );
         }
-
-        let fixed = check_trace(&predecessor_accumulation_trace(g, &ws, true));
-        if !fixed.is_empty() {
-            println!(
-                "FAIL seeded-bug {name}: atomicAdd accumulation wrongly flagged: {}",
-                fixed[0]
-            );
-            failures += 1;
-        }
-
-        let real = verify_root(g, 0, device);
+        let real = verify_root(&g, 0, device);
         if !real.is_clean() {
+            let (races, violations) = (&real.races, &real.violations);
             println!(
-                "FAIL seeded-bug {name}: successor-based sweep not clean: {:?} {:?}",
-                real.races, real.violations
-            );
-            failures += 1;
-        }
-
-        // The pull kernel's planted bug: dropping the atomicOr on
-        // the shared F_next words must be flagged, the real
-        // word-granular atomic variant must pass.
-        let broken_pull = check_trace(&pull_bitmap_trace(g, &ws, false));
-        if broken_pull.is_empty() {
-            println!("FAIL seeded-bug {name}: plain F_next bitmap update NOT flagged");
-            failures += 1;
-        } else {
-            println!(
-                "ok   seeded-bug {name}: broken pull announcement flagged ({} racy words, e.g. {})",
-                broken_pull.len(),
-                broken_pull[0]
-            );
-        }
-        let fixed_pull = check_trace(&pull_bitmap_trace(g, &ws, true));
-        if !fixed_pull.is_empty() {
-            println!(
-                "FAIL seeded-bug {name}: atomicOr pull announcement wrongly flagged: {}",
-                fixed_pull[0]
+                "FAIL seeded-bug {name}: successor-based sweep not clean: {races:?} {violations:?}"
             );
             failures += 1;
         }
@@ -198,58 +177,36 @@ fn dataset_sweep(opts: &Options, device: &DeviceConfig) -> usize {
     for d in DatasetId::ALL {
         let g = d.generate(opts.reduction, opts.seed);
         let n = g.num_vertices();
-        let csr = check_csr(&g);
-        if !csr.is_empty() {
-            for v in &csr {
-                println!("FAIL {}: {v}", d.name());
-            }
-            failures += csr.len();
-            continue;
-        }
+        let mut bad: Vec<String> = check_csr(&g).iter().map(|v| v.to_string()).collect();
+        let (mut events, mut levels) = (0u64, 0usize);
         // Deterministic spread of roots across the id space, each
         // replayed under the push model and under the
         // direction-optimizing automaton (which race-checks the
         // bottom-up kernel wherever frontiers saturate).
-        let mut races = 0;
-        let mut violations = 0;
-        let mut events = 0u64;
-        let mut levels = 0usize;
-        for i in 0..opts.roots {
-            let root = ((i * n) / opts.roots) as u32;
-            let push = verify_root(&g, root, device);
-            let auto = verify_root_with(
-                &g,
-                root,
-                device,
-                DirectionOptimizingModel::new(TraversalMode::Auto),
-            );
-            for v in [&push, &auto] {
-                races += v.races.len();
-                violations += v.violations.len();
-                events += v.events;
-                levels += v.levels;
-                for r in &v.races {
-                    println!("FAIL {} root {root}: {r}", d.name());
-                }
-                for viol in &v.violations {
-                    println!("FAIL {} root {root}: {viol}", d.name());
-                }
+        // A malformed CSR is not replayed.
+        let k = if bad.is_empty() { opts.roots } else { 0 };
+        for root in (0..k).map(|i| ((i * n) / k) as u32) {
+            let auto = DirectionOptimizingModel::new(TraversalMode::Auto);
+            for v in [
+                verify_root(&g, root, device),
+                verify_root_with(&g, root, device, auto),
+            ] {
+                (events, levels) = (events + v.events, levels + v.levels);
+                bad.extend(v.races.iter().map(|r| format!("root {root}: {r}")));
+                bad.extend(v.violations.iter().map(|x| format!("root {root}: {x}")));
             }
         }
-        if races + violations == 0 {
-            println!(
-                "ok   {:<18} n={:<7} 2m={:<8} roots={} levels={} events={} \
-                 counters == trace (push+auto)",
-                d.name(),
-                n,
-                g.num_directed_edges(),
-                opts.roots,
-                levels,
-                events
-            );
-        } else {
-            failures += races + violations;
+        for line in &bad {
+            println!("FAIL {}: {line}", d.name());
         }
+        if bad.is_empty() {
+            let (name, m) = (d.name(), g.num_directed_edges());
+            println!(
+                "ok   {name:<18} n={n:<7} 2m={m:<8} roots={k} levels={levels} events={events} \
+                 counters == trace (push+auto)"
+            );
+        }
+        failures += bad.len();
     }
     failures
 }
@@ -257,157 +214,128 @@ fn dataset_sweep(opts: &Options, device: &DeviceConfig) -> usize {
 /// Stage 3: exact all-roots runs against the pair-sum identity.
 fn exact_identity_checks(device: &DeviceConfig) -> usize {
     let mut failures = 0;
-    let graphs: Vec<(&str, Csr)> = vec![
+    for (name, g) in [
         ("path(32)", gen::path(32)),
         ("grid(8,6)", gen::grid(8, 6)),
         ("erdos_renyi(120,400)", gen::erdos_renyi(120, 400, 17)),
-    ];
-    for (name, g) in &graphs {
+    ] {
         let mut ws = SearchWorkspace::new(g.num_vertices());
         let mut bc = vec![0.0; g.num_vertices()];
         for r in g.vertices() {
-            process_root(g, r, device, &mut ws, &mut FreeModel, &mut bc);
+            process_root(&g, r, device, &mut ws, &mut FreeModel, &mut bc);
         }
-        if g.is_symmetric() {
-            for b in bc.iter_mut() {
-                *b *= 0.5;
-            }
-        }
+        let half = if g.is_symmetric() { 0.5 } else { 1.0 };
+        bc.iter_mut().for_each(|b| *b *= half);
         let mut bad = check_scores(&bc);
-        bad.extend(check_pair_sum(g, &bc));
-        if bad.is_empty() {
-            println!("ok   exact-scores {name}: pair-sum identity holds");
-        } else {
-            for v in &bad {
-                println!("FAIL exact-scores {name}: {v}");
-            }
-            failures += bad.len();
-        }
+        bad.extend(check_pair_sum(&g, &bc));
+        failures += report(&format!("exact-scores {name}"), &bad, || {
+            "pair-sum identity holds".into()
+        });
     }
     failures
 }
 
-/// Stage 4: fault/fault-free bitwise equivalence on the cluster
-/// runner, plus structured (non-panicking) failure for an
-/// unrecoverable plan. Returns the number of failures.
+/// Print `violations` as FAIL lines under `label` (the first eight),
+/// or one ok line; return the failure count.
+fn report(label: &str, violations: &[Violation], ok: impl FnOnce() -> String) -> usize {
+    for v in violations.iter().take(8) {
+        println!("FAIL {label}: {v}");
+    }
+    if violations.is_empty() {
+        println!("ok   {label}: {}", ok());
+    }
+    violations.len()
+}
+
+/// Report a harness run of `cases` at `points`.
+fn report_check<T: Transform>(
+    label: &str,
+    t: &T,
+    points: &[Axis],
+    cases: &[(&str, T::Case)],
+) -> usize {
+    let r = check(t, points, cases);
+    let flip = r.flip.as_ref().map_or("-".into(), |d| d.key.to_string());
+    let (n, at, exercised, unit) = (r.cases, r.points, r.exercised, T::EXERCISED);
+    report(label, &r.violations, || {
+        format!(
+            "{n} case(s) at {at} point(s) bitwise equal to baseline, {exercised} {unit}; \
+             one-ULP flip caught at {flip}"
+        )
+    })
+}
+
+/// Report a transform's mutant list at `at`.
+fn report_mutants<T: Transform>(
+    label: &str,
+    t: &T,
+    at: Axis,
+    mutants: &[Mutant<T::Case>],
+) -> usize {
+    let bad = check_mutants(t, at, mutants);
+    let names: Vec<&str> = mutants.iter().map(|m| m.name).collect();
+    report(label, &bad, || format!("{} flagged", names.join(", ")))
+}
+
+/// Stage 4: the fault transform on two graphs at widths 2 and 4,
+/// plus structured (non-panicking) failure for an unrecoverable plan.
 fn fault_tolerance_checks(seed: u64) -> usize {
     use bc_cluster::{run_cluster_with_faults, ClusterConfig, ClusterError, FaultPlan};
+    let plans = bc_verify::recoverable_plans(seed);
+    let widths = [2, 4].map(|width| Axis { width, ..AT });
     let mut failures = 0;
-    let graphs: Vec<(&str, Csr)> = vec![
+    for (name, g) in [
         ("watts_strogatz(200,6)", gen::watts_strogatz(200, 6, 0.1, 6)),
         ("grid(16,16)", gen::grid(16, 16)),
-    ];
-    let plans = bc_verify::recoverable_plans(seed);
-    for (name, g) in &graphs {
-        for nodes in [2usize, 4] {
-            let cfg = ClusterConfig::keeneland(nodes);
-            let violations = bc_verify::check_fault_equivalence(g, &cfg, 32, &plans);
-            if violations.is_empty() {
-                println!(
-                    "ok   fault-equiv {name} nodes={nodes}: {} plan(s) bitwise identical",
-                    plans.len()
-                );
-            } else {
-                for v in &violations {
-                    println!("FAIL fault-equiv {name} nodes={nodes}: {v}");
-                }
-                failures += violations.len();
-            }
-        }
+    ] {
+        let t = Faults::new(&g, ClusterConfig::keeneland(2), 32);
+        failures += report_check(&format!("fault-equiv {name}"), &t, &widths, &plans);
     }
     // An unrecoverable plan must come back as a structured error
     // carrying the partial result — not a panic, not a clean exit.
-    let g = gen::grid(12, 12);
-    let plan = FaultPlan {
-        dead_gpus: (0..6).collect(),
-        death_fraction: 0.5,
-        ..FaultPlan::none()
-    };
-    match run_cluster_with_faults(&g, &ClusterConfig::keeneland(2), 24, &plan) {
+    let plan = FaultPlan::parse("dead=0+1+2+3+4+5,death_fraction=0.5").expect("valid fault spec");
+    let lost = match run_cluster_with_faults(
+        &gen::grid(12, 12),
+        &ClusterConfig::keeneland(2),
+        24,
+        &plan,
+    ) {
         Err(ClusterError::AllGpusLost {
             completed_roots, ..
-        }) if completed_roots > 0 => {
-            println!(
-                "ok   fault-unrecoverable: all-GPUs-dead surfaced structurally \
-                 ({completed_roots} roots completed before the losses)"
-            );
-        }
+        }) if completed_roots > 0 => Vec::new(),
         other => {
-            println!(
-                "FAIL fault-unrecoverable: expected AllGpusLost with partial progress, got {:?}",
-                other.map(|r| r.report.roots_sampled)
-            );
-            failures += 1;
+            let got = other.map(|r| r.report.roots_sampled);
+            vec![Violation::new(
+                "fault.unrecoverable",
+                format!("expected AllGpusLost with partial progress, got {got:?}"),
+            )]
         }
-    }
+    };
     failures
+        + report("fault-unrecoverable", &lost, || {
+            "all-GPUs-dead surfaced structurally".into()
+        })
 }
 
-/// Stage 5: scheduled-run replay. Each dynamic schedule
-/// runs the metered solver at 4 threads and must reproduce the static
+/// Stage 5: the schedule transform. The metered sampling run at 4
+/// threads under each dynamic schedule must reproduce the static
 /// run's scores and per-root metrics stream bitwise, and its
-/// per-worker records must replay cleanly against shard geometry
-/// (partition exact, root counts re-derived, steal counters only
-/// where stealing is allowed). Returns the number of failures.
+/// per-worker records must replay against shard geometry.
 fn schedule_replay_checks(device: &DeviceConfig) -> usize {
-    use bc_core::{BcOptions, Method, RootSelection, Schedule};
-    let mut failures = 0;
+    use bc_core::{BcOptions, Method, RootSelection};
     let g = gen::watts_strogatz(512, 6, 0.1, 23);
-    let run = |schedule: Schedule| {
-        let opts = BcOptions {
-            device: device.clone(),
-            roots: RootSelection::Strided(256),
-            normalize: false,
-            threads: 4,
-            traversal: TraversalMode::Auto,
-            schedule,
-            partition: Default::default(),
-        };
-        Method::Sampling(Default::default()).run_metered(&g, &opts)
+    let opts = BcOptions {
+        device: device.clone(),
+        roots: RootSelection::Strided(256),
+        ..BcOptions::default()
     };
-    let (base_run, base_metrics) = match run(Schedule::Static) {
-        Ok(out) => out,
-        Err(e) => {
-            println!("FAIL schedule-replay static: {e}");
-            return 1;
-        }
-    };
-    for schedule in [Schedule::Guided, Schedule::WorkStealing] {
-        let (r, m) = match run(schedule) {
-            Ok(out) => out,
-            Err(e) => {
-                println!("FAIL schedule-replay {schedule}: {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        let mut bad = 0;
-        if r.scores != base_run.scores {
-            println!("FAIL schedule-replay {schedule}: scores differ from the static run");
-            bad += 1;
-        }
-        if m.per_root != base_metrics.per_root {
-            println!(
-                "FAIL schedule-replay {schedule}: per-root metrics stream differs from static"
-            );
-            bad += 1;
-        }
-        let violations = bc_verify::check_worker_metrics(&m.per_worker);
-        for v in &violations {
-            println!("FAIL schedule-replay {schedule}: {v}");
-        }
-        bad += violations.len();
-        failures += bad;
-        if bad == 0 {
-            let steals: u64 = m.per_worker.iter().map(|w| w.steals).sum();
-            println!(
-                "ok   schedule-replay {schedule}: scores + per-root stream bitwise identical \
-                 to static; {} worker record(s) replay cleanly ({steals} steal(s))",
-                m.per_worker.len()
-            );
-        }
-    }
-    failures
+    let t = bc_verify::Schedules::new(&g, Method::Sampling(Default::default()), opts);
+    let at = [Axis::new(Schedule::Static, TraversalMode::Auto, 4)];
+    let cases = [
+        ("guided", Schedule::Guided),
+        ("work-stealing", Schedule::WorkStealing),
+    ];
+    report_check("schedule-replay", &t, &at, &cases)
 }
 
 /// Stage 5 (continued): serve rows are replayable observations. Runs
@@ -444,136 +372,79 @@ fn serve_row_replay_checks(seed: u64) -> usize {
     violations.len()
 }
 
-/// Stage 6: degree-ordered relabeling must be invisible bitwise. Runs
-/// the full direction × thread × schedule battery on a scale-free
-/// analogue (where DegreeDesc genuinely permutes) plus a single-config
-/// sweep over every method.
+/// Stage 6: the relabel transform on a scale-free analogue (where
+/// DegreeDesc genuinely permutes): work-efficient over push/pull/auto
+/// × 1/2/4 threads × 3 schedules, then every method at one point.
 fn relabel_equivalence_checks(seed: u64) -> usize {
-    use bc_core::{BcOptions, Method, RootSelection};
-    let mut failures = 0;
-
-    let scale_free = gen::barabasi_albert(2000, 5, seed);
-    let bad = bc_verify::relabel_battery(
-        &scale_free,
-        &Method::WorkEfficient,
-        RootSelection::Strided(32),
-    );
-    for v in bad.iter().take(8) {
-        println!("FAIL relabel battery: {v}");
-    }
-    failures += bad.len();
-    if bad.is_empty() {
-        println!(
-            "ok   relabel battery: work-efficient bitwise identical under DegreeDesc \
-             across push/pull/auto x 1/2/4 threads x 3 schedules"
-        );
-    }
-
+    use bc_core::{Method, RootSelection};
+    use bc_graph::relabel::Relabeling;
+    let g = gen::barabasi_albert(2000, 5, seed);
+    let degree = [("degree-desc", Relabeling::DegreeDesc)];
+    let t = Relabel::new(&g, Method::WorkEfficient, RootSelection::Strided(32));
+    let mut failures = report_check("relabel battery", &t, &matrix(&g, &[1, 2, 4]), &degree);
     for method in Method::all() {
-        let opts = BcOptions {
-            roots: RootSelection::Strided(16),
-            ..Default::default()
-        };
-        let bad = bc_verify::check_relabel_equivalence(&scale_free, &method, &opts);
-        for v in bad.iter().take(4) {
-            println!("FAIL relabel {}: {v}", method.name());
-        }
-        failures += bad.len();
-        if bad.is_empty() {
-            println!("ok   relabel {}: scores bitwise identical", method.name());
-        }
+        let t = Relabel::new(&g, method.clone(), RootSelection::Strided(16));
+        let label = format!("relabel {}", method.name());
+        failures += report_check(&label, &t, &[Axis { width: 0, ..AT }], &degree);
     }
     failures
 }
 
-/// Stage 7: checkpoint/resume equivalence, checkpoint tamper
-/// rejection, and the graceful-degradation ladder. Returns the number
-/// of failures.
+/// Stage 7: the kill-and-resume transform at three kill points × 3
+/// schedules × 3 traversals under a recoverable fault overlay, the
+/// store's corrupt, mismatch and stale mutants, and both rungs of the
+/// degradation ladder (partition as a transform case, sampled as a
+/// plain check).
 fn durability_checks(seed: u64) -> usize {
-    use bc_cluster::ClusterConfig;
+    use bc_cluster::{ClusterConfig, FaultPlan};
     use bc_core::Method;
-    let mut failures = 0;
-
+    use bc_verify::{Resume, ResumeCase};
     let g = gen::watts_strogatz(180, 6, 0.1, 19);
-    let cfg = ClusterConfig {
+    let cfg = |nodes| ClusterConfig {
         method: Method::WorkEfficient,
-        ..ClusterConfig::keeneland(2)
+        ..ClusterConfig::keeneland(nodes)
     };
-    let violations = bc_verify::check_checkpoint_equivalence(&g, &cfg, 24, seed);
-    if violations.is_empty() {
-        println!(
-            "ok   ckpt-equiv: {} kill point(s) x 3 schedules x 3 traversals resumed bitwise",
-            bc_verify::kill_points().len()
-        );
-    } else {
-        for v in &violations {
-            println!("FAIL ckpt-equiv: {v}");
-        }
-        failures += violations.len();
-    }
+    let t = Resume::new(&g, cfg(2), 24, bc_verify::recoverable_overlay(seed));
+    let kills = bc_verify::kill_points();
+    let mut failures = report_check("ckpt-equiv", &t, &matrix(&g, &[2]), &kills);
+    let t = Resume::new(&g, cfg(2), 12, FaultPlan::none());
+    let at = Axis { width: 2, ..AT };
+    failures += report_mutants("ckpt-mutants", &t, at, &bc_verify::store_mutants());
 
-    let violations = bc_verify::check_checkpoint_rejection(&g, &cfg, 12);
-    if violations.is_empty() {
-        println!("ok   ckpt-reject: corrupted, mismatched, and stale checkpoints all rejected");
-    } else {
-        for v in &violations {
-            println!("FAIL ckpt-reject: {v}");
-        }
-        failures += violations.len();
-    }
-
-    let ladder_g = gen::kronecker(11, 8, 4);
-    let ladder_cfg = ClusterConfig {
-        method: Method::WorkEfficient,
-        ..ClusterConfig::keeneland(1)
-    };
-    let violations = bc_verify::check_degradation_ladder(&ladder_g, &ladder_cfg, 16);
-    if violations.is_empty() {
-        println!("ok   ckpt-ladder: partition rung bitwise, sampled rung bounded and reported");
-    } else {
-        for v in &violations {
-            println!("FAIL ckpt-ladder: {v}");
-        }
-        failures += violations.len();
-    }
+    let g = gen::kronecker(11, 8, 4);
+    let t = Resume::new(&g, cfg(1), 16, FaultPlan::none());
+    let partition = [("partition", ResumeCase::Partition)];
+    failures += report_check("ckpt-ladder partition", &t, &[AT], &partition);
+    let sampled = bc_verify::check_sampled_rung(&g, &cfg(1), 16);
     failures
+        + report("ckpt-ladder sampled", &sampled, || {
+            "bounded and reported".into()
+        })
 }
 
-/// Stage 8: serving equivalence. Every dataset analogue gets a
-/// seeded random query stream (with interleaved edge edits) served
-/// through the batched, cached `bc-serve` layer under 3 schedules ×
-/// push/pull/auto × 1/2/4 threads; every response must equal a cold
-/// per-query recompute on the shadow-edited graph bitwise. A server
-/// seeded with the `SkipEpochBump` stale-cache mutation must be
-/// flagged on every dataset.
+/// Stage 8: the serve-with-edits transform. Every dataset analogue
+/// gets a seeded query stream with interleaved edge edits, served
+/// under 3 schedules × push/pull/auto × 1/2/4 threads; every answer
+/// must equal a cold recompute on the shadow-edited graph bitwise.
+/// The `SkipEpochBump` stale-cache mutant must be flagged on every
+/// dataset.
 fn serving_checks(opts: &Options) -> usize {
+    use bc_verify::{ServeEdits, SKIP_EPOCH_BUMP};
     let mut failures = 0;
     for id in DatasetId::ALL {
         let g = id.generate(opts.reduction, opts.seed);
-        let bad = bc_verify::check_serving_equivalence(&g, 6, 2, opts.seed);
-        for v in bad.iter().take(8) {
-            println!("FAIL serve {}: {v}", id.name());
-        }
-        failures += bad.len();
-        if bad.is_empty() {
-            println!(
-                "ok   serve {}: batched+cached responses bitwise equal cold recompute \
-                 across 3 schedules x push/pull/auto x 1/2/4 threads (edits interleaved)",
-                id.name()
-            );
-        }
-
-        let bad = bc_verify::check_stale_cache_mutant_flagged(&g);
-        for v in &bad {
-            println!("FAIL serve-mutant {}: {v}", id.name());
-        }
-        failures += bad.len();
-        if bad.is_empty() {
-            println!(
-                "ok   serve-mutant {}: SkipEpochBump served stale scores and was caught",
-                id.name()
-            );
-        }
+        let t = ServeEdits::new(&g, 6, 2, opts.seed);
+        let label = format!("serve {}", id.name());
+        failures += report_check(&label, &t, &matrix(&g, &[1, 2, 4]), &[("clean", None)]);
+        let label = format!("serve-mutant {}", id.name());
+        failures += match ServeEdits::stale_cache_probe(&g) {
+            Some(probe) => report_mutants(&label, &probe, AT, &[SKIP_EPOCH_BUMP]),
+            None => report(
+                &label,
+                &[Violation::new("serve.mutant_setup", "no edge to delete")],
+                String::new,
+            ),
+        };
     }
     failures
 }

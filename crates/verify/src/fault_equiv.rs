@@ -1,197 +1,186 @@
-//! Fault/fault-free equivalence checks for the cluster runner.
+//! The fault transform: a recoverable fault plan must be invisible in
+//! the cluster runner's scores.
 //!
-//! The fault-tolerance layer's correctness claim is absolute: a
-//! *recoverable* fault schedule — retries, contained worker deaths,
-//! GPU losses with orphan adoption, lossy reductions — must not
-//! change a single bit of the final scores, because the merge runs in
-//! global root order no matter which GPU computed which root. This
-//! module turns that claim into a checked fact: run fault-free, run
-//! under a battery of seeded fault plans, and demand bitwise equality
-//! (scores and checksum) plus honest fault accounting.
+//! Retries, contained worker deaths, GPU losses with orphan adoption
+//! and lossy reductions change which GPU computes which root and when,
+//! never the bits of the result, because the merge runs in global
+//! root order. [`Faults`] runs the fault-free baseline and each plan
+//! at one cluster width; the harness compares scores bitwise and
+//! requires the plans to have injected something. The extra checks
+//! are the checksum and non-negative added time.
 
+use crate::harness::{vertex_keyed, Axis, Keyed, Transform, Transformed};
 use crate::invariants::Violation;
-use bc_cluster::{run_cluster_with_faults, ClusterConfig, FaultPlan};
+use bc_cluster::{run_cluster_with_faults, ClusterConfig, ClusterReport, FaultPlan};
 use bc_graph::Csr;
 
 /// A labelled battery of recoverable fault plans covering every
-/// injection mechanism, seeded from `seed`.
+/// injection mechanism, each seeded from `seed` with its own salt.
+/// The specs are `--faults` strings, so any case reruns from the CLI.
 pub fn recoverable_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    vec![
-        (
-            "transient-retries",
-            FaultPlan {
-                transient_rate: 0.2,
-                oom_rate: 0.05,
-                seed,
-                ..FaultPlan::none()
-            },
-        ),
-        (
-            "contained-panics",
-            FaultPlan {
-                panic_rate: 0.15,
-                seed: seed ^ 1,
-                ..FaultPlan::none()
-            },
-        ),
+    let specs = [
+        ("transient-retries", "transient=0.2,oom=0.05"),
+        ("contained-panics", "panic=0.15"),
         (
             "gpu-death-adoption",
-            FaultPlan {
-                dead_gpus: vec![1],
-                death_fraction: 0.4,
-                transient_rate: 0.1,
-                seed: seed ^ 2,
-                ..FaultPlan::none()
-            },
+            "dead=1,death_fraction=0.4,transient=0.1",
         ),
-        (
-            "straggler",
-            FaultPlan {
-                straggler_gpus: vec![0],
-                straggler_slowdown: 4.0,
-                seed: seed ^ 3,
-                ..FaultPlan::none()
-            },
-        ),
-        (
-            "lossy-reduce",
-            FaultPlan {
-                reduce_drop_rate: 0.4,
-                reduce_corrupt_rate: 0.2,
-                seed: seed ^ 4,
-                ..FaultPlan::none()
-            },
-        ),
+        ("straggler", "straggle=0,slowdown=4"),
+        ("lossy-reduce", "drop=0.4,corrupt=0.2"),
         (
             "everything-at-once",
-            FaultPlan {
-                transient_rate: 0.1,
-                oom_rate: 0.05,
-                panic_rate: 0.05,
-                dead_gpus: vec![2],
-                death_fraction: 0.5,
-                straggler_gpus: vec![0],
-                straggler_slowdown: 2.0,
-                reduce_drop_rate: 0.2,
-                seed: seed ^ 5,
-                ..FaultPlan::none()
-            },
+            "transient=0.1,oom=0.05,panic=0.05,dead=2,death_fraction=0.5,\
+             straggle=0,slowdown=2,drop=0.2",
         ),
-    ]
+    ];
+    let seeded = |(salt, (label, spec)): (u64, (&'static str, &str))| {
+        let plan = FaultPlan::parse(&format!("{spec},seed={}", seed ^ salt));
+        (label, plan.expect("valid fault spec"))
+    };
+    (0..).zip(specs).map(seeded).collect()
 }
 
-/// Run `cfg` on `g` fault-free and under every plan in `plans`;
-/// return a violation for every bit that moved (scores, checksum) or
-/// every plan whose counters claim nothing was injected.
-pub fn check_fault_equivalence(
-    g: &Csr,
-    cfg: &ClusterConfig,
-    sample_roots: usize,
-    plans: &[(&'static str, FaultPlan)],
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut battery_injected = 0u64;
-    let clean = match run_cluster_with_faults(g, cfg, sample_roots, &FaultPlan::none()) {
-        Ok(run) => run,
-        Err(e) => {
-            violations.push(Violation {
-                check: "fault.baseline_runs",
-                detail: format!("fault-free cluster run failed: {e}"),
-            });
-            return violations;
+/// Flag a run whose checksum differs from the baseline's.
+pub(crate) fn checksum_mismatch(report: &ClusterReport, base: &ClusterReport) -> Option<Violation> {
+    let (got, want) = (report.checksum, base.checksum);
+    let detail = format!("checksum {got:#018x} != baseline {want:#018x}");
+    (got != want).then(|| Violation::new("cluster.checksum_equal", detail))
+}
+
+/// Fault plans on the cluster runner: `roots` sampled roots of `g`
+/// under `cfg`, whose nodes, schedule and traversal the axis sets.
+pub struct Faults<'g> {
+    pub(crate) g: &'g Csr,
+    cfg: ClusterConfig,
+    pub(crate) roots: usize,
+}
+
+impl<'g> Faults<'g> {
+    /// The transform for `roots` sampled roots of `g` on `cfg`.
+    pub fn new(g: &'g Csr, cfg: ClusterConfig, roots: usize) -> Self {
+        Faults { g, cfg, roots }
+    }
+
+    /// The cluster at `at`: its schedule, traversal, and width in nodes.
+    pub(crate) fn config(&self, at: Axis) -> ClusterConfig {
+        ClusterConfig {
+            nodes: at.width,
+            schedule: at.schedule,
+            traversal: at.traversal,
+            ..self.cfg.clone()
         }
-    };
-    for (label, plan) in plans {
-        let faulted = match run_cluster_with_faults(g, cfg, sample_roots, plan) {
-            Ok(run) => run,
-            Err(e) => {
-                violations.push(Violation {
-                    check: "fault.plan_recoverable",
-                    detail: format!("plan '{label}' was not recovered from: {e}"),
-                });
-                continue;
-            }
-        };
-        if faulted.scores != clean.scores {
-            let first = clean
-                .scores
-                .iter()
-                .zip(&faulted.scores)
-                .position(|(a, b)| a.to_bits() != b.to_bits());
-            violations.push(Violation {
-                check: "fault.scores_bitwise_equal",
-                detail: format!(
-                    "plan '{label}' changed the scores (first diff at vertex {first:?})"
-                ),
-            });
-        }
-        if faulted.report.checksum != clean.report.checksum {
-            violations.push(Violation {
-                check: "fault.checksum_equal",
-                detail: format!(
-                    "plan '{label}' checksum {:#018x} != fault-free {:#018x}",
-                    faulted.report.checksum, clean.report.checksum
-                ),
-            });
-        }
-        let f = &faulted.report.faults;
-        battery_injected += f.total_faults()
-            + f.dead_gpus
-            + f.straggler_gpus
-            + f.reduce_drops
-            + f.reduce_corruptions;
+    }
+
+    /// A run under `plan` at `at`, keyed by vertex, with its report.
+    pub(crate) fn keyed(
+        &self,
+        at: Axis,
+        plan: &FaultPlan,
+    ) -> Result<(Keyed, ClusterReport), String> {
+        let run = run_cluster_with_faults(self.g, &self.config(at), self.roots, plan);
+        let run = run.map_err(|e| format!("baseline cluster run failed: {e}"))?;
+        Ok((vertex_keyed(&run.scores), run.report))
+    }
+}
+
+impl Transform for Faults<'_> {
+    type Case = FaultPlan;
+    type Base = ClusterReport;
+    const NAME: &'static str = "fault";
+    const EXERCISED: &'static str = "faults injected";
+
+    fn baseline(&self, at: Axis) -> Result<(Keyed, ClusterReport), String> {
+        self.keyed(at, &FaultPlan::none())
+    }
+
+    fn transformed(
+        &self,
+        at: Axis,
+        plan: &FaultPlan,
+        base: &ClusterReport,
+    ) -> Result<Transformed, Violation> {
+        let run = run_cluster_with_faults(self.g, &self.config(at), self.roots, plan);
+        let unrecovered =
+            |e| Violation::new("fault.plan_recoverable", format!("not recovered: {e}"));
+        let run = run.map_err(unrecovered)?;
+        let f = &run.report.faults;
+        let mut extra: Vec<Violation> = checksum_mismatch(&run.report, base).into_iter().collect();
         if f.added_seconds < 0.0 {
-            violations.push(Violation {
-                check: "fault.added_time_nonnegative",
-                detail: format!(
-                    "plan '{label}' claims negative added time ({})",
-                    f.added_seconds
-                ),
-            });
+            let detail = format!("claims negative added time ({})", f.added_seconds);
+            extra.push(Violation::new("fault.added_time_nonnegative", detail));
         }
+        let injected = [
+            f.dead_gpus,
+            f.straggler_gpus,
+            f.reduce_drops,
+            f.reduce_corruptions,
+        ];
+        Ok(Transformed {
+            output: vertex_keyed(&run.scores),
+            exercised: f.total_faults() + injected.iter().sum::<u64>(),
+            extra,
+        })
     }
-    // A battery whose counters say nothing was ever injected proved
-    // nothing (a single low-rate plan may legitimately draw no
-    // faults for some seeds; the whole battery must not). Only
-    // meaningful when every plan otherwise passed — an unrecoverable
-    // plan self-evidently injected something.
-    if !plans.is_empty() && battery_injected == 0 && violations.is_empty() {
-        violations.push(Violation {
-            check: "fault.counters_honest",
-            detail: "battery reports zero injected faults across all plans — \
-                     the equivalence check proved nothing"
-                .into(),
-        });
-    }
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::check;
+    use bc_core::{Schedule, TraversalMode};
     use bc_graph::gen;
+
+    const AT: Axis = Axis {
+        schedule: Schedule::Static,
+        traversal: TraversalMode::Push,
+        width: 2,
+    };
 
     #[test]
     fn battery_passes_on_a_healthy_runner() {
         let g = gen::watts_strogatz(150, 6, 0.1, 3);
-        let cfg = ClusterConfig::keeneland(2);
-        let v = check_fault_equivalence(&g, &cfg, 32, &recoverable_plans(42));
-        assert!(v.is_empty(), "{v:?}");
+        let t = Faults::new(&g, ClusterConfig::keeneland(2), 32);
+        let report = check(&t, &[AT], &recoverable_plans(42));
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.cases, 6);
+        assert!(report.exercised > 0);
     }
 
     #[test]
     fn unrecoverable_plan_is_reported_not_panicked() {
         let g = gen::grid(10, 10);
-        let cfg = ClusterConfig::keeneland(1);
-        let all_dead = vec![(
+        let t = Faults::new(&g, ClusterConfig::keeneland(1), 16);
+        let all_dead = [(
             "all-dead",
             FaultPlan {
                 dead_gpus: vec![0, 1, 2],
                 ..FaultPlan::none()
             },
         )];
-        let v = check_fault_equivalence(&g, &cfg, 16, &all_dead);
+        let at = Axis { width: 1, ..AT };
+        let v = check(&t, &[at], &all_dead).violations;
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].check, "fault.plan_recoverable");
+    }
+
+    #[test]
+    fn a_plan_that_injects_nothing_is_flagged() {
+        let g = gen::grid(10, 10);
+        let t = Faults::new(&g, ClusterConfig::keeneland(2), 16);
+        let v = check(&t, &[AT], &[("none", FaultPlan::none())]).violations;
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].check, "equiv.exercised");
+    }
+
+    #[test]
+    fn a_one_ulp_flip_is_reported() {
+        let g = gen::watts_strogatz(150, 6, 0.1, 3);
+        let t = Faults::new(&g, ClusterConfig::keeneland(2), 32);
+        let report = check(&t, &[AT], &recoverable_plans(42)[..1]);
+        let d = report.flip.expect("flip reported");
+        assert_eq!(
+            (d.key, d.ulps, d.differing),
+            (crate::harness::Key::Vertex(75), Some(1), 1)
+        );
     }
 }

@@ -24,7 +24,8 @@ pub struct Violation {
 }
 
 impl Violation {
-    fn new(check: &'static str, detail: impl Into<String>) -> Self {
+    /// A violation of `check`, observed as `detail`.
+    pub fn new(check: &'static str, detail: impl Into<String>) -> Self {
         Self {
             check,
             detail: detail.into(),

@@ -27,25 +27,25 @@
 //!   atomics, atomic-free backward levels, and every level record's
 //!   counters (edges inspected, CAS attempts/wins, σ-updates) against
 //!   the access events of the same launch;
-//! * [`fault_equiv`] — runs the cluster under a battery of seeded
-//!   fault plans and asserts the scores stay bitwise identical to
-//!   the fault-free run (the fault-tolerance layer's correctness
-//!   claim);
-//! * [`checkpoint_equiv`] — kills the durable runner at seeded
-//!   early/mid/late points under every schedule × traversal mode,
-//!   resumes each from its checkpoint, and asserts bitwise identity
-//!   with the uninterrupted run; also proves the store rejects
-//!   corrupted, mismatched, and stale checkpoints, and that the
-//!   graceful-degradation ladder partitions and samples as claimed;
-//! * [`serve_equiv`] — serving-equivalence battery: random query
-//!   streams (with interleaved edge edits) through the batched,
-//!   cached `bc-serve` layer must answer bitwise identically to
-//!   per-query cold recomputes under every schedule × traversal ×
-//!   thread combination, a seeded stale-cache mutant must be
-//!   flagged, and emitted serve rows must replay bit-for-bit;
+//! * [`harness`] — the differential-equivalence harness: an axis
+//!   [`matrix`] (schedules × push/pull/auto × threads or cluster
+//!   width), the [`Transform`] trait, one bitwise oracle
+//!   ([`harness::diverge`]) that reports the first divergence with its
+//!   ULP distance after [`check_scores`] has passed the baseline, the
+//!   "did the transform do anything" guard, and the [`Mutant`] list;
+//! * the five transforms on top of it, each a feature that must be
+//!   invisible in the scores: [`Faults`] (seeded fault plans on the
+//!   cluster runner), [`Schedules`] (dynamic schedules against static,
+//!   in [`metrics_check`]), [`Relabel`] (degree-ordered relabeling),
+//!   [`Resume`] (kill-and-resume from a checkpoint, the ladder's
+//!   partition rung, and the store's corrupt, mismatch and stale
+//!   mutants) and [`ServeEdits`] (batched, cached serving with live
+//!   edits against cold recomputes, and the `SkipEpochBump` mutant);
 //! * [`metrics_check`] — the per-level counter identities `replay`
 //!   applies, and the replay of a metered run's per-worker scheduling
-//!   records against shard geometry.
+//!   records against shard geometry;
+//! * [`serve_equiv`] also checks the rows a server emits
+//!   ([`check_serve_rows`]).
 //!
 //! The `bc-verify` binary runs the whole suite over the bundled
 //! dataset analogues plus a seeded-bug self-test (the broken
@@ -57,6 +57,7 @@
 
 pub mod checkpoint_equiv;
 pub mod fault_equiv;
+pub mod harness;
 pub mod invariants;
 pub mod metrics_check;
 pub mod race;
@@ -66,18 +67,20 @@ pub mod serve_equiv;
 pub mod trace;
 
 pub use checkpoint_equiv::{
-    check_checkpoint_equivalence, check_checkpoint_rejection, check_degradation_ladder, kill_points,
+    check_sampled_rung, kill_points, recoverable_overlay, store_mutants, Resume, ResumeCase,
 };
-pub use fault_equiv::{check_fault_equivalence, recoverable_plans};
+pub use fault_equiv::{recoverable_plans, Faults};
+pub use harness::{
+    check, check_mutants, matrix, Axis, Divergence, Key, Keyed, Mutant, Report, Transform,
+};
 pub use invariants::{
     check_csr, check_csr_parts, check_pair_sum, check_scores, check_search_state, Violation,
 };
-pub use metrics_check::check_worker_metrics;
+pub use metrics_check::{check_worker_metrics, Schedules};
 pub use race::{check_trace, RaceReport};
-pub use relabel_equiv::{check_relabel_equivalence, relabel_battery};
+pub use relabel_equiv::Relabel;
 pub use replay::{verify_root, verify_root_with, RootVerification};
 pub use serve_equiv::{
-    check_serve_rows, check_serving_equivalence, check_stale_cache_mutant_flagged, cold_references,
-    serve_stream,
+    answers_keyed, check_serve_rows, cold_references, serve_stream, ServeEdits, SKIP_EPOCH_BUMP,
 };
 pub use trace::{pull_bitmap_trace, LevelTrace, RecordingSink, Trace};

@@ -20,10 +20,15 @@
 //! backward atomic-freedom are checked beside it by
 //! [`crate::replay::verify_root_with`].
 
+use crate::harness::{vertex_keyed, Axis, Keyed, Transform, Transformed};
 use crate::invariants::Violation;
 use crate::trace::LevelTrace;
+use bc_core::{BcOptions, BcRun, Method, Schedule};
 use bc_gpusim::trace::{AccessKind, KernelArray, TraceEvent};
-use bc_metrics::{LevelMetrics, MetricPhase, MetricTraversal, WorkerMetrics};
+use bc_graph::Csr;
+use bc_metrics::{
+    LevelMetrics, MetricPhase, MetricTraversal, RootMetrics, RunMetrics, WorkerMetrics,
+};
 use std::collections::BTreeMap;
 
 fn count(events: &[TraceEvent], array: KernelArray, kind: AccessKind) -> u64 {
@@ -203,6 +208,70 @@ pub fn check_worker_metrics(workers: &[WorkerMetrics]) -> Vec<Violation> {
     violations
 }
 
+/// The schedule transform: a metered run under a dynamic schedule
+/// must reproduce the axis schedule's scores and per-root metrics
+/// stream bitwise, and its per-worker records must replay against
+/// shard geometry ([`check_worker_metrics`]). The exercised count is
+/// the roots that workers report processing under the case's
+/// schedule.
+pub struct Schedules<'g> {
+    g: &'g Csr,
+    method: Method,
+    opts: BcOptions,
+}
+
+impl<'g> Schedules<'g> {
+    /// The transform for `method` on `g` under `opts`, whose
+    /// schedule, traversal and threads the axis sets.
+    pub fn new(g: &'g Csr, method: Method, opts: BcOptions) -> Self {
+        Schedules { g, method, opts }
+    }
+
+    fn run(&self, at: Axis, schedule: Schedule) -> Result<(BcRun, RunMetrics), String> {
+        let opts = Axis { schedule, ..at }.options(&self.opts);
+        let run = self.method.run_metered(self.g, &opts);
+        run.map_err(|e| format!("{schedule} run failed: {e}"))
+    }
+}
+
+impl Transform for Schedules<'_> {
+    type Case = Schedule;
+    type Base = Vec<RootMetrics>;
+    const NAME: &'static str = "schedule";
+    const EXERCISED: &'static str = "roots run under the case's schedule";
+
+    fn baseline(&self, at: Axis) -> Result<(Keyed, Vec<RootMetrics>), String> {
+        let (run, metrics) = self.run(at, at.schedule)?;
+        Ok((vertex_keyed(&run.scores), metrics.per_root))
+    }
+
+    fn transformed(
+        &self,
+        at: Axis,
+        schedule: &Schedule,
+        base: &Vec<RootMetrics>,
+    ) -> Result<Transformed, Violation> {
+        let run = self.run(at, *schedule);
+        let (run, m) = run.map_err(|e| Violation::new("schedule.runs", e))?;
+        let mut extra = check_worker_metrics(&m.per_worker);
+        if m.per_root != *base {
+            let detail = "per-root metrics stream differs from the baseline schedule's";
+            extra.push(Violation::new("schedule.per_root_stream", detail));
+        }
+        let ran = m
+            .per_worker
+            .iter()
+            .filter(|w| w.schedule == schedule.name());
+        let exercised = ran.map(|w| w.roots_processed).sum();
+        let output = vertex_keyed(&run.scores);
+        Ok(Transformed {
+            output,
+            exercised,
+            extra,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +359,28 @@ mod tests {
             let v = check_worker_metrics(&workers);
             assert!(v.is_empty(), "{schedule}: {v:?}");
         }
+    }
+
+    #[test]
+    fn dynamic_schedules_reproduce_static_and_a_flip_is_reported() {
+        use crate::harness::{check, Axis, Key};
+        let g = gen::watts_strogatz(256, 6, 0.1, 7);
+        let opts = bc_core::BcOptions {
+            roots: bc_core::RootSelection::Strided(64),
+            ..Default::default()
+        };
+        let t = Schedules::new(&g, bc_core::Method::Sampling(Default::default()), opts);
+        let at = Axis {
+            schedule: Schedule::Static,
+            traversal: TraversalMode::Auto,
+            width: 4,
+        };
+        let cases = [("guided", Schedule::Guided), ("ws", Schedule::WorkStealing)];
+        let report = check(&t, &[at], &cases);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.exercised > 0);
+        let d = report.flip.expect("flip reported");
+        assert_eq!((d.key, d.ulps, d.differing), (Key::Vertex(128), Some(1), 1));
     }
 
     #[test]

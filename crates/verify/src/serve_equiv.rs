@@ -1,27 +1,26 @@
-//! Serving-equivalence battery: batched + cached serving must be
+//! The serve-with-edits transform: batched, cached serving must be
 //! bitwise invisible in the answers.
 //!
-//! The serving layer's correctness claim mirrors the relabel and
-//! fault batteries' shape: for any request stream — any interleaving
-//! of queries and edge edits, any batching window, any cache state —
-//! every response must equal a **cold recompute** of the same query
-//! against the graph as edited so far, bitwise, under every schedule
-//! × traversal × thread-count combination. Cold references are
-//! computed once per stream by replaying the edits on a shadow graph
-//! (answers are schedule/traversal/thread-invariant, a fact the
-//! relabel battery already enforces), then every serving
-//! configuration is held to them.
+//! For any request stream — any interleaving of queries and edge
+//! edits, any batching window, any cache state — every response must
+//! equal a **cold recompute** of the same query against the graph as
+//! edited so far, bitwise, under every schedule × traversal × thread
+//! count. [`ServeEdits`] computes the cold references once per stream
+//! by replaying the edits on a shadow graph (answers do not depend on
+//! schedule, traversal or threads, which the relabel transform also
+//! checks) and holds every serving configuration to them, keyed by
+//! request id. Its exercised count is the server's cache hits: a
+//! stream that never hits the cache is not testing the cache.
 //!
-//! The battery also includes a *mutation self-test*: a server seeded
-//! with [`ServeMutation::SkipEpochBump`] (edits mutate the graph but
-//! neither bump the epoch nor invalidate the cache) must produce at
-//! least one post-edit response that diverges from the cold
-//! reference. A battery that cannot flag the classic stale-cache bug
-//! proves nothing by passing.
+//! Its mutant is [`ServeMutation::SkipEpochBump`] (edits mutate the
+//! graph but neither bump the epoch nor invalidate the cache), run on
+//! [`ServeEdits::stale_cache_probe`], a stream whose edit provably
+//! changes the re-queried scores: the harness must report a stale
+//! answer. [`check_serve_rows`] checks the rows a server emits.
 
 use std::collections::BTreeMap;
 
-use bc_core::{RootSelection, Schedule, TraversalMode};
+use bc_core::RootSelection;
 use bc_graph::Csr;
 use bc_metrics::ServeRow;
 use bc_serve::{
@@ -29,17 +28,8 @@ use bc_serve::{
     ServeConfig, ServeMutation, SplitMix64,
 };
 
+use crate::harness::{Axis, Key, Keyed, Mutant, Transform, Transformed};
 use crate::invariants::Violation;
-
-/// Thread counts every serving configuration is swept over.
-pub const SERVE_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Traversal modes every serving configuration is swept over.
-pub const SERVE_TRAVERSALS: [TraversalMode; 3] = [
-    TraversalMode::Push,
-    TraversalMode::Pull,
-    TraversalMode::Auto,
-];
 
 /// A deterministic serving workload for `g`: `queries` randomized
 /// requests (drawn from a small, overlapping root pool so the cache
@@ -118,176 +108,122 @@ pub fn cold_references(g: &Csr, config: &ServeConfig, events: &[Event]) -> BTree
     refs
 }
 
-/// Bitwise answer comparison (`==` on floats would also accept
-/// `-0.0 == 0.0`; the serving claim is stronger).
-fn answers_bitwise_eq(a: &Answer, b: &Answer) -> bool {
-    fn pairs_eq(x: &[(u32, f64)], y: &[(u32, f64)]) -> bool {
-        x.len() == y.len()
-            && x.iter()
-                .zip(y)
-                .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
-    }
-    match (a, b) {
-        (Answer::TopK(x), Answer::TopK(y)) => pairs_eq(x, y),
-        (Answer::SubgraphBc(x), Answer::SubgraphBc(y)) => pairs_eq(x, y),
-        (Answer::PerVertex(x), Answer::PerVertex(y)) => x.to_bits() == y.to_bits(),
-        _ => false,
-    }
-}
-
-/// The full battery on one graph: one seeded stream, cold references
-/// computed once, then every schedule × traversal × thread
-/// combination served and compared bitwise. Also demands that the
-/// stream produced cache hits somewhere (a battery that never hits
-/// the cache is not testing the cache).
-pub fn check_serving_equivalence(
-    g: &Csr,
-    queries: usize,
-    edits: usize,
-    seed: u64,
-) -> Vec<Violation> {
+/// Key answers by request id, answer kind, rank, and the vertex each
+/// entry names.
+pub fn answers_keyed<'a>(answers: impl IntoIterator<Item = (u64, &'a Answer)>) -> Keyed {
     let mut out = Vec::new();
-    let events = serve_stream(g, queries, edits, seed);
-    let base = ServeConfig {
-        window: 0.02,
-        ..ServeConfig::default()
-    };
-    let refs = cold_references(g, &base, &events);
-
-    for schedule in Schedule::ALL {
-        for traversal in SERVE_TRAVERSALS {
-            for threads in SERVE_THREADS {
-                let config = ServeConfig {
-                    schedule,
-                    traversal,
-                    threads,
-                    ..base.clone()
-                };
-                let label = format!("{}/{}/{}t", schedule.name(), traversal.name(), threads);
-                let mut server = BcServer::single(g.clone(), config);
-                let run = match server.run(events.clone()) {
-                    Ok(run) => run,
-                    Err(e) => {
-                        out.push(Violation {
-                            check: "serve.run",
-                            detail: format!("[{label}] serving run failed: {e}"),
-                        });
-                        continue;
-                    }
-                };
-                if run.responses.len() != refs.len() {
-                    out.push(Violation {
-                        check: "serve.response_count",
-                        detail: format!(
-                            "[{label}] {} responses for {} queries",
-                            run.responses.len(),
-                            refs.len()
-                        ),
-                    });
-                    continue;
-                }
-                for resp in &run.responses {
-                    let cold = &refs[&resp.id];
-                    if !answers_bitwise_eq(&resp.answer, cold) {
-                        out.push(Violation {
-                            check: "serve.bitwise",
-                            detail: format!(
-                                "[{label}] request {} served {:?} but cold recompute says {:?}",
-                                resp.id, resp.answer, cold
-                            ),
-                        });
-                        if out.len() >= 8 {
-                            return out;
-                        }
-                    }
-                }
-                if server.cache_stats().hits == 0 {
-                    out.push(Violation {
-                        check: "serve.cache_exercised",
-                        detail: format!(
-                            "[{label}] stream produced no cache hits — the battery is inert"
-                        ),
-                    });
-                }
+    for (id, answer) in answers {
+        let (kind, pairs) = match answer {
+            Answer::PerVertex(x) => {
+                out.push((Key::Answer(id, "per-vertex", 0, None), *x));
+                continue;
             }
-        }
+            Answer::TopK(pairs) => ("top-k", pairs),
+            Answer::SubgraphBc(pairs) => ("subgraph", pairs),
+        };
+        let entries = pairs.iter().zip(0..);
+        out.extend(entries.map(|(&(v, x), rank)| (Key::Answer(id, kind, rank, Some(v)), x)));
     }
+    out.sort_by_key(|e| e.0);
     out
 }
 
-/// Mutation self-test: with [`ServeMutation::SkipEpochBump`] seeded
-/// in, a stream whose edit provably changes scores must yield at
-/// least one stale (divergent) response — otherwise the battery
-/// could not catch the bug it exists for. The edit used is the
-/// deletion of the graph's first adjacency arc, re-queried over all
-/// roots, which changes shortest-path structure on every connected
-/// analogue.
-pub fn check_stale_cache_mutant_flagged(g: &Csr) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let (u, v) =
-        match (0..g.num_vertices() as u32).find_map(|u| g.neighbors(u).first().map(|&v| (u, v))) {
-            Some(arc) => arc,
-            None => {
-                out.push(Violation {
-                    check: "serve.mutant_setup",
-                    detail: "graph has no edges to delete".to_owned(),
-                });
-                return out;
-            }
+/// The stale-cache mutant: must be reported as a bitwise divergence.
+pub const SKIP_EPOCH_BUMP: Mutant<Option<ServeMutation>> = Mutant {
+    name: "skip-epoch-bump",
+    case: Some(ServeMutation::SkipEpochBump),
+    flagged_by: "equiv.bitwise",
+};
+
+/// One request stream on `g`, served with the axis setting schedule,
+/// traversal and threads, against cold references.
+pub struct ServeEdits<'g> {
+    g: &'g Csr,
+    config: ServeConfig,
+    events: Vec<Event>,
+    reference: Keyed,
+}
+
+impl<'g> ServeEdits<'g> {
+    /// The seeded [`serve_stream`] on `g`, with a 20 ms batching window.
+    pub fn new(g: &'g Csr, queries: usize, edits: usize, seed: u64) -> Self {
+        let config = ServeConfig {
+            window: 0.02,
+            ..ServeConfig::default()
         };
-    let query = Query::SubgraphBc {
-        vertices: (0..g.num_vertices() as u32).collect(),
-    };
-    let roots = RootSelection::FirstK(32.min(g.num_vertices()));
-    let request = |id: u64, arrival: f64| {
-        Event::Query(Request {
-            id,
-            arrival,
-            graph: "default".to_owned(),
-            roots: roots.clone(),
-            query: query.clone(),
-        })
-    };
-    let events = vec![
-        request(0, 0.0),
-        Event::Edit {
+        Self::with_events(g, config, serve_stream(g, queries, edits, seed))
+    }
+
+    /// Delete the graph's first adjacency arc between two queries over
+    /// every vertex from the same roots; the edit changes
+    /// shortest-path structure on every connected analogue. `None`
+    /// when `g` has no edges.
+    pub fn stale_cache_probe(g: &'g Csr) -> Option<Self> {
+        let first_arc = |u| g.neighbors(u).first().map(|&v| (u, v));
+        let (u, v) = (0..g.num_vertices() as u32).find_map(first_arc)?;
+        let request = |id: u64, arrival: f64| {
+            Event::Query(Request {
+                id,
+                arrival,
+                graph: "default".to_owned(),
+                roots: RootSelection::FirstK(32.min(g.num_vertices())),
+                query: Query::SubgraphBc {
+                    vertices: g.vertices().collect(),
+                },
+            })
+        };
+        let edit = Event::Edit {
             at: 1.0,
             graph: "default".to_owned(),
             edit: EdgeEdit::Delete(u, v),
-        },
-        request(1, 2.0),
-    ];
-    let config = ServeConfig {
-        mutation: Some(ServeMutation::SkipEpochBump),
-        ..ServeConfig::default()
-    };
-    let refs = cold_references(g, &config, &events);
-    let mut server = BcServer::single(g.clone(), config);
-    let run = match server.run(events) {
-        Ok(run) => run,
-        Err(e) => {
-            out.push(Violation {
-                check: "serve.mutant_run",
-                detail: format!("mutant run failed: {e}"),
-            });
-            return out;
-        }
-    };
-    let post_edit = run
-        .responses
-        .iter()
-        .find(|r| r.id == 1)
-        .expect("post-edit response present");
-    if answers_bitwise_eq(&post_edit.answer, &refs[&1]) {
-        out.push(Violation {
-            check: "serve.mutant_flagged",
-            detail: format!(
-                "SkipEpochBump mutant served a correct post-edit answer for delete({u},{v}) — \
-                 the seeded stale-cache bug is invisible to this battery"
-            ),
-        });
+        };
+        let events = vec![request(0, 0.0), edit, request(1, 2.0)];
+        Some(Self::with_events(g, ServeConfig::default(), events))
     }
-    out
+
+    fn with_events(g: &'g Csr, config: ServeConfig, events: Vec<Event>) -> Self {
+        let refs = cold_references(g, &config, &events);
+        let reference = answers_keyed(refs.iter().map(|(&id, a)| (id, a)));
+        ServeEdits {
+            g,
+            config,
+            events,
+            reference,
+        }
+    }
+}
+
+impl Transform for ServeEdits<'_> {
+    type Case = Option<ServeMutation>;
+    type Base = ();
+    const NAME: &'static str = "serve";
+    const EXERCISED: &'static str = "cache hits";
+
+    fn baseline(&self, _: Axis) -> Result<(Keyed, ()), String> {
+        Ok((self.reference.clone(), ()))
+    }
+
+    fn transformed(
+        &self,
+        at: Axis,
+        mutation: &Option<ServeMutation>,
+        _: &(),
+    ) -> Result<Transformed, Violation> {
+        let config = ServeConfig {
+            schedule: at.schedule,
+            traversal: at.traversal,
+            threads: at.width,
+            mutation: *mutation,
+            ..self.config.clone()
+        };
+        let mut server = BcServer::single(self.g.clone(), config);
+        let run = server.run(self.events.clone());
+        let run = run.map_err(|e| Violation::new("serve.run", e.to_string()))?;
+        Ok(Transformed::new(
+            answers_keyed(run.responses.iter().map(|r| (r.id, &r.answer))),
+            server.cache_stats().hits,
+        ))
+    }
 }
 
 /// Structural and replay invariants over a server's emitted rows:
@@ -298,90 +234,61 @@ pub fn check_stale_cache_mutant_flagged(g: &Csr) -> Vec<Violation> {
 /// monotone over batch rows.
 pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation> {
     let mut out = Vec::new();
+    let mut fail = |check, detail: String| out.push(Violation::new(check, detail));
     if rows != replay {
-        out.push(Violation {
-            check: "serve.rows_replay",
-            detail: format!(
-                "serve rows diverge across identical runs ({} vs {} rows)",
-                rows.len(),
-                replay.len()
-            ),
-        });
+        let (a, b) = (rows.len(), replay.len());
+        let detail = format!("serve rows diverge across identical runs ({a} vs {b} rows)");
+        fail("serve.rows_replay", detail);
     }
     let mut last_batch_at = f64::NEG_INFINITY;
     for (i, row) in rows.iter().enumerate() {
-        if row.seq != i as u64 {
-            out.push(Violation {
-                check: "serve.rows_seq",
-                detail: format!("row {i} carries seq {}", row.seq),
-            });
+        let (seq, size, roots) = (row.seq, row.batch_size, row.requested_roots);
+        if seq != i as u64 {
+            fail("serve.rows_seq", format!("row {i} carries seq {seq}"));
         }
         match row.event.as_str() {
             "batch" => {
-                if row.cache_hits + row.cache_misses != row.requested_roots {
-                    out.push(Violation {
-                        check: "serve.rows_accounting",
-                        detail: format!(
-                            "batch seq {}: {} hits + {} misses != {} requested roots",
-                            row.seq, row.cache_hits, row.cache_misses, row.requested_roots
-                        ),
-                    });
+                let (hits, misses) = (row.cache_hits, row.cache_misses);
+                if hits + misses != roots {
+                    let detail = format!(
+                        "batch seq {seq}: {hits} hits + {misses} misses != {roots} requested roots"
+                    );
+                    fail("serve.rows_accounting", detail);
                 }
-                if row.batch_size as usize != row.latencies.len() {
-                    out.push(Violation {
-                        check: "serve.rows_latency_count",
-                        detail: format!(
-                            "batch seq {}: batch_size {} but {} latency records",
-                            row.seq,
-                            row.batch_size,
-                            row.latencies.len()
-                        ),
-                    });
+                let records = row.latencies.len();
+                if size as usize != records {
+                    let detail =
+                        format!("batch seq {seq}: batch_size {size} but {records} latency records");
+                    fail("serve.rows_latency_count", detail);
                 }
                 for lat in &row.latencies {
-                    if lat.latency.to_bits() != (lat.completed - lat.arrival).to_bits() {
-                        out.push(Violation {
-                            check: "serve.rows_latency",
-                            detail: format!(
-                                "request {}: stored latency {} != completed - arrival {}",
-                                lat.id,
-                                lat.latency,
-                                lat.completed - lat.arrival
-                            ),
-                        });
+                    let (id, stored, span) = (lat.id, lat.latency, lat.completed - lat.arrival);
+                    if stored.to_bits() != span.to_bits() {
+                        let detail = format!(
+                            "request {id}: stored latency {stored} != completed - arrival {span}"
+                        );
+                        fail("serve.rows_latency", detail);
                     }
                 }
                 if row.at < last_batch_at {
-                    out.push(Violation {
-                        check: "serve.rows_monotone",
-                        detail: format!(
-                            "batch seq {} starts at {} before previous batch at {}",
-                            row.seq, row.at, last_batch_at
-                        ),
-                    });
+                    let detail = format!(
+                        "batch seq {seq} starts at {} before previous batch at {last_batch_at}",
+                        row.at
+                    );
+                    fail("serve.rows_monotone", detail);
                 }
                 last_batch_at = row.at;
             }
-            "edit" => {
-                if row.batch_size != 0 || row.requested_roots != 0 {
-                    out.push(Violation {
-                        check: "serve.rows_edit_shape",
-                        detail: format!(
-                            "edit seq {} carries batch fields (size {}, roots {})",
-                            row.seq, row.batch_size, row.requested_roots
-                        ),
-                    });
-                }
+            "edit" if size != 0 || roots != 0 => {
+                let detail =
+                    format!("edit seq {seq} carries batch fields (size {size}, roots {roots})");
+                fail("serve.rows_edit_shape", detail);
             }
-            other => {
-                out.push(Violation {
-                    check: "serve.rows_event",
-                    detail: format!("row seq {} has unknown event {other:?}", row.seq),
-                });
-            }
-        }
-        if out.len() >= 8 {
-            break;
+            "edit" => {}
+            other => fail(
+                "serve.rows_event",
+                format!("row seq {seq} has unknown event {other:?}"),
+            ),
         }
     }
     out
@@ -390,20 +297,58 @@ pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check, check_mutants, diverge, matrix};
+    use bc_core::{Schedule, TraversalMode};
     use bc_graph::gen;
+
+    const AT: Axis = Axis {
+        schedule: Schedule::Static,
+        traversal: TraversalMode::Push,
+        width: 1,
+    };
 
     #[test]
     fn battery_passes_on_a_healthy_server() {
         let g = gen::erdos_renyi(60, 200, 3);
-        let bad = check_serving_equivalence(&g, 6, 2, 17);
-        assert!(bad.is_empty(), "healthy server flagged: {bad:?}");
+        let t = ServeEdits::new(&g, 6, 2, 17);
+        let report = check(&t, &matrix(&g, &[1, 2, 4]), &[("clean", None)]);
+        assert!(
+            report.violations.is_empty(),
+            "healthy server flagged: {:?}",
+            report.violations
+        );
+        assert_eq!(report.cases, 27);
     }
 
     #[test]
     fn mutant_is_flagged() {
         let g = gen::erdos_renyi(60, 200, 5);
-        let bad = check_stale_cache_mutant_flagged(&g);
+        let t = ServeEdits::stale_cache_probe(&g).expect("graph has edges");
+        let bad = check_mutants(&t, AT, &[SKIP_EPOCH_BUMP]);
         assert!(bad.is_empty(), "mutant escaped: {bad:?}");
+    }
+
+    #[test]
+    fn a_one_ulp_flip_is_reported() {
+        let g = gen::erdos_renyi(60, 200, 3);
+        let t = ServeEdits::new(&g, 6, 2, 17);
+        let d = check(&t, &[AT], &[("clean", None)])
+            .flip
+            .expect("flip reported");
+        assert!(matches!(d.key, Key::Answer(..)), "{d:?}");
+        assert_eq!((d.ulps, d.differing), (Some(1), 1));
+    }
+
+    #[test]
+    fn a_missing_response_is_reported_not_panicked() {
+        let g = gen::erdos_renyi(40, 120, 7);
+        let events = serve_stream(&g, 4, 0, 29);
+        let refs = cold_references(&g, &ServeConfig::default(), &events);
+        let all = answers_keyed(refs.iter().map(|(&id, a)| (id, a)));
+        let without_first = answers_keyed(refs.iter().skip(1).map(|(&id, a)| (id, a)));
+        let d = diverge(&all, &without_first).expect("missing answer");
+        assert!(matches!(d.key, Key::Answer(0, ..)), "{d:?}");
+        assert_eq!(d.transformed, None);
     }
 
     #[test]

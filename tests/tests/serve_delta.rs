@@ -18,12 +18,23 @@
 
 use bc_core::{run_roots_contributions, DirectionOptimizingModel, RootSelection, TraversalMode};
 use bc_gpusim::DeviceConfig;
+use bc_graph::relabel::Relabeling;
 use bc_graph::{gen, Csr, VertexId};
 use bc_serve::{
     cold_answer, edit_touches_root, random_edits, BcServer, EdgeEdit, Event, Query, Request,
     ServeConfig,
 };
+use bc_verify::{check, matrix, Axis, Relabel};
 use proptest::prelude::*;
+
+const DEGREE: [(&str, Relabeling); 1] = [("degree-desc", Relabeling::DegreeDesc)];
+
+/// `BcOptions::default()`'s schedule, traversal and thread count.
+const DEFAULT_AXIS: Axis = Axis {
+    schedule: bc_core::Schedule::Static,
+    traversal: TraversalMode::Push,
+    width: 0,
+};
 
 /// One random valid edit against `g`, derived from `seed` (delete of
 /// a live edge or insert of a missing one).
@@ -147,8 +158,8 @@ proptest! {
         prop_assert_eq!(served, &cold, "delta-served answer diverges from cold recompute");
     }
 
-    /// Edited CSRs stay relabel-compatible: the PR-8 degree-relabel
-    /// equivalence battery must remain bitwise clean after a chain of
+    /// Edited CSRs stay relabel-compatible: the degree-relabel
+    /// transform must remain bitwise clean after a chain of
     /// inserts/deletes rebuilt the graph.
     #[test]
     fn prop_edited_graphs_pass_relabel_battery(
@@ -162,32 +173,30 @@ proptest! {
         for i in 0..3 {
             g = apply_edit(&g, draw_edit(&g, edit_seed.wrapping_add(i)));
         }
-        let opts = bc_core::BcOptions {
-            roots: RootSelection::Strided(8.min(n)),
-            ..Default::default()
-        };
-        let bad = bc_verify::check_relabel_equivalence(
-            &g,
-            &bc_core::Method::WorkEfficient,
-            &opts,
-        );
+        let t = Relabel::new(&g, bc_core::Method::WorkEfficient, RootSelection::Strided(8.min(n)));
+        let bad = check(&t, &[DEFAULT_AXIS], &DEGREE).violations;
         prop_assert!(bad.is_empty(), "relabel violations on edited graph: {:?}", bad);
     }
 }
 
-/// Non-property pin: the full relabel battery (direction × threads ×
-/// schedules) on one edited scale-free graph, matching the PR-8
-/// battery's shape exactly.
+/// Non-property pin: the relabel transform over the full axis matrix
+/// (direction × threads × schedules) on one edited scale-free graph.
 #[test]
 fn edited_scale_free_graph_passes_full_relabel_battery() {
     let mut g = gen::barabasi_albert(300, 4, 77);
     for i in 0..4 {
         g = apply_edit(&g, draw_edit(&g, 1000 + i));
     }
-    let bad = bc_verify::relabel_battery(
+    let t = Relabel::new(
         &g,
-        &bc_core::Method::WorkEfficient,
+        bc_core::Method::WorkEfficient,
         RootSelection::Strided(16),
     );
-    assert!(bad.is_empty(), "relabel battery on edited graph: {bad:?}");
+    let report = check(&t, &matrix(&g, &[1, 2, 4]), &DEGREE);
+    assert!(
+        report.violations.is_empty(),
+        "relabel battery on edited graph: {:?}",
+        report.violations
+    );
+    assert_eq!(report.cases, 27);
 }
