@@ -293,28 +293,21 @@ fn fault_tolerance_checks(seed: u64) -> usize {
     }
     // An unrecoverable plan must come back as a structured error
     // carrying the partial result — not a panic, not a clean exit.
+    let (g, cfg) = (gen::grid(12, 12), ClusterConfig::keeneland(2));
     let plan = FaultPlan::parse("dead=0+1+2+3+4+5,death_fraction=0.5").expect("valid fault spec");
-    let lost = match run_cluster_with_faults(
-        &gen::grid(12, 12),
-        &ClusterConfig::keeneland(2),
-        24,
-        &plan,
-    ) {
+    let lost = match run_cluster_with_faults(&g, &cfg, 24, &plan) {
         Err(ClusterError::AllGpusLost {
-            completed_roots, ..
-        }) if completed_roots > 0 => Vec::new(),
+            completed_roots: 1..,
+            ..
+        }) => Vec::new(),
         other => {
             let got = other.map(|r| r.report.roots_sampled);
-            vec![Violation::new(
-                "fault.unrecoverable",
-                format!("expected AllGpusLost with partial progress, got {got:?}"),
-            )]
+            let detail = format!("expected AllGpusLost with partial progress, got {got:?}");
+            vec![Violation::new("fault.unrecoverable", detail)]
         }
     };
-    failures
-        + report("fault-unrecoverable", &lost, || {
-            "all-GPUs-dead surfaced structurally".into()
-        })
+    let ok = || "all-GPUs-dead surfaced structurally".to_owned();
+    failures + report("fault-unrecoverable", &lost, ok)
 }
 
 /// Stage 5: the schedule transform. The metered sampling run at 4
@@ -352,24 +345,13 @@ fn serve_row_replay_checks(seed: u64) -> usize {
         let mut server = BcServer::single(g.clone(), ServeConfig::default());
         server.run(events).map(|out| out.rows)
     };
-    let (rows, replay) = match (run(events.clone()), run(events)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            println!("FAIL serve-rows: workload run failed: {e}");
-            return 1;
-        }
+    let bad = match (run(events.clone()), run(events)) {
+        (Ok(rows), Ok(replay)) => bc_verify::check_serve_rows(&rows, &replay),
+        (Err(e), _) | (_, Err(e)) => vec![Violation::new("serve.run", e.to_string())],
     };
-    let violations = bc_verify::check_serve_rows(&rows, &replay);
-    for v in &violations {
-        println!("FAIL serve-rows: {v}");
-    }
-    if violations.is_empty() {
-        println!(
-            "ok   serve-rows: {} rows replay bitwise with balanced cache/latency accounting",
-            rows.len()
-        );
-    }
-    violations.len()
+    report("serve-rows", &bad, || {
+        "rows replay bitwise with balanced cache/latency accounting".into()
+    })
 }
 
 /// Stage 6: the relabel transform on a scale-free analogue (where

@@ -78,9 +78,7 @@ impl Axis {
             width,
         }
     }
-}
 
-impl Axis {
     /// `opts` run at this point: its schedule, traversal, and `width`
     /// host threads.
     pub fn options(self, opts: &BcOptions) -> BcOptions {
@@ -104,22 +102,16 @@ impl fmt::Display for Axis {
 /// `widths`, schedules outermost. Pull and auto read reverse arcs, so
 /// a directed graph keeps push only.
 pub fn matrix(g: &Csr, widths: &[usize]) -> Vec<Axis> {
-    let traversals = [
-        TraversalMode::Push,
-        TraversalMode::Pull,
-        TraversalMode::Auto,
-    ];
+    use TraversalMode::{Auto, Pull, Push};
+    let traversals = if g.is_symmetric() {
+        vec![Push, Pull, Auto]
+    } else {
+        vec![Push]
+    };
     let mut out = Vec::new();
     for schedule in Schedule::ALL {
-        for traversal in traversals
-            .into_iter()
-            .filter(|&t| t == TraversalMode::Push || g.is_symmetric())
-        {
-            out.extend(
-                widths
-                    .iter()
-                    .map(|&width| Axis::new(schedule, traversal, width)),
-            );
+        for &traversal in &traversals {
+            out.extend(widths.iter().map(|&w| Axis::new(schedule, traversal, w)));
         }
     }
     out
@@ -139,7 +131,7 @@ impl Transformed {
     /// `output` with no extra-check violations.
     pub fn new(output: Keyed, exercised: u64) -> Self {
         let extra = Vec::new();
-        Transformed {
+        Self {
             output,
             exercised,
             extra,
@@ -270,10 +262,8 @@ pub fn check<T: Transform>(t: &T, points: &[Axis], cases: &[(&str, T::Case)]) ->
         let (reference, base) = match t.baseline(at) {
             Ok(b) => b,
             Err(e) => {
-                out.push(Violation::new(
-                    "equiv.baseline_runs",
-                    format!("[{point}] {e}"),
-                ));
+                let detail = format!("[{point}] {e}");
+                out.push(Violation::new("equiv.baseline_runs", detail));
                 continue;
             }
         };
