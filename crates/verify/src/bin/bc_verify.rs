@@ -177,36 +177,58 @@ fn dataset_sweep(opts: &Options, device: &DeviceConfig) -> usize {
     for d in DatasetId::ALL {
         let g = d.generate(opts.reduction, opts.seed);
         let n = g.num_vertices();
-        let mut bad: Vec<String> = check_csr(&g).iter().map(|v| v.to_string()).collect();
-        let (mut events, mut levels) = (0u64, 0usize);
+        let csr = check_csr(&g);
+        if !csr.is_empty() {
+            for v in &csr {
+                println!("FAIL {}: {v}", d.name());
+            }
+            failures += csr.len();
+            continue;
+        }
         // Deterministic spread of roots across the id space, each
         // replayed under the push model and under the
         // direction-optimizing automaton (which race-checks the
         // bottom-up kernel wherever frontiers saturate).
-        // A malformed CSR is not replayed.
-        let k = if bad.is_empty() { opts.roots } else { 0 };
-        for root in (0..k).map(|i| ((i * n) / k) as u32) {
-            let auto = DirectionOptimizingModel::new(TraversalMode::Auto);
-            for v in [
-                verify_root(&g, root, device),
-                verify_root_with(&g, root, device, auto),
-            ] {
-                (events, levels) = (events + v.events, levels + v.levels);
-                bad.extend(v.races.iter().map(|r| format!("root {root}: {r}")));
-                bad.extend(v.violations.iter().map(|x| format!("root {root}: {x}")));
+        let mut races = 0;
+        let mut violations = 0;
+        let mut events = 0u64;
+        let mut levels = 0usize;
+        for i in 0..opts.roots {
+            let root = ((i * n) / opts.roots) as u32;
+            let push = verify_root(&g, root, device);
+            let auto = verify_root_with(
+                &g,
+                root,
+                device,
+                DirectionOptimizingModel::new(TraversalMode::Auto),
+            );
+            for v in [&push, &auto] {
+                races += v.races.len();
+                violations += v.violations.len();
+                events += v.events;
+                levels += v.levels;
+                for r in &v.races {
+                    println!("FAIL {} root {root}: {r}", d.name());
+                }
+                for viol in &v.violations {
+                    println!("FAIL {} root {root}: {viol}", d.name());
+                }
             }
         }
-        for line in &bad {
-            println!("FAIL {}: {line}", d.name());
-        }
-        if bad.is_empty() {
-            let (name, m) = (d.name(), g.num_directed_edges());
+        if races + violations == 0 {
             println!(
-                "ok   {name:<18} n={n:<7} 2m={m:<8} roots={k} levels={levels} events={events} \
-                 counters == trace (push+auto)"
+                "ok   {:<18} n={:<7} 2m={:<8} roots={} levels={} events={} \
+                 counters == trace (push+auto)",
+                d.name(),
+                n,
+                g.num_directed_edges(),
+                opts.roots,
+                levels,
+                events
             );
+        } else {
+            failures += races + violations;
         }
-        failures += bad.len();
     }
     failures
 }
@@ -345,12 +367,12 @@ fn serve_row_replay_checks(seed: u64) -> usize {
         let mut server = BcServer::single(g.clone(), ServeConfig::default());
         server.run(events).map(|out| out.rows)
     };
-    let bad = match (run(events.clone()), run(events)) {
-        (Ok(rows), Ok(replay)) => bc_verify::check_serve_rows(&rows, &replay),
-        (Err(e), _) | (_, Err(e)) => vec![Violation::new("serve.run", e.to_string())],
+    let (rows, bad) = match (run(events.clone()), run(events)) {
+        (Ok(rows), Ok(replay)) => (rows.len(), bc_verify::check_serve_rows(&rows, &replay)),
+        (Err(e), _) | (_, Err(e)) => (0, vec![Violation::new("serve.run", e.to_string())]),
     };
     report("serve-rows", &bad, || {
-        "rows replay bitwise with balanced cache/latency accounting".into()
+        format!("{rows} rows replay bitwise with balanced cache/latency accounting")
     })
 }
 

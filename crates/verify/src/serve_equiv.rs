@@ -234,61 +234,90 @@ impl Transform for ServeEdits<'_> {
 /// monotone over batch rows.
 pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut fail = |check, detail: String| out.push(Violation::new(check, detail));
     if rows != replay {
-        let (a, b) = (rows.len(), replay.len());
-        let detail = format!("serve rows diverge across identical runs ({a} vs {b} rows)");
-        fail("serve.rows_replay", detail);
+        out.push(Violation {
+            check: "serve.rows_replay",
+            detail: format!(
+                "serve rows diverge across identical runs ({} vs {} rows)",
+                rows.len(),
+                replay.len()
+            ),
+        });
     }
     let mut last_batch_at = f64::NEG_INFINITY;
     for (i, row) in rows.iter().enumerate() {
-        let (seq, size, roots) = (row.seq, row.batch_size, row.requested_roots);
-        if seq != i as u64 {
-            fail("serve.rows_seq", format!("row {i} carries seq {seq}"));
+        if row.seq != i as u64 {
+            out.push(Violation {
+                check: "serve.rows_seq",
+                detail: format!("row {i} carries seq {}", row.seq),
+            });
         }
         match row.event.as_str() {
             "batch" => {
-                let (hits, misses) = (row.cache_hits, row.cache_misses);
-                if hits + misses != roots {
-                    let detail = format!(
-                        "batch seq {seq}: {hits} hits + {misses} misses != {roots} requested roots"
-                    );
-                    fail("serve.rows_accounting", detail);
+                if row.cache_hits + row.cache_misses != row.requested_roots {
+                    out.push(Violation {
+                        check: "serve.rows_accounting",
+                        detail: format!(
+                            "batch seq {}: {} hits + {} misses != {} requested roots",
+                            row.seq, row.cache_hits, row.cache_misses, row.requested_roots
+                        ),
+                    });
                 }
-                let records = row.latencies.len();
-                if size as usize != records {
-                    let detail =
-                        format!("batch seq {seq}: batch_size {size} but {records} latency records");
-                    fail("serve.rows_latency_count", detail);
+                if row.batch_size as usize != row.latencies.len() {
+                    out.push(Violation {
+                        check: "serve.rows_latency_count",
+                        detail: format!(
+                            "batch seq {}: batch_size {} but {} latency records",
+                            row.seq,
+                            row.batch_size,
+                            row.latencies.len()
+                        ),
+                    });
                 }
                 for lat in &row.latencies {
-                    let (id, stored, span) = (lat.id, lat.latency, lat.completed - lat.arrival);
-                    if stored.to_bits() != span.to_bits() {
-                        let detail = format!(
-                            "request {id}: stored latency {stored} != completed - arrival {span}"
-                        );
-                        fail("serve.rows_latency", detail);
+                    if lat.latency.to_bits() != (lat.completed - lat.arrival).to_bits() {
+                        out.push(Violation {
+                            check: "serve.rows_latency",
+                            detail: format!(
+                                "request {}: stored latency {} != completed - arrival {}",
+                                lat.id,
+                                lat.latency,
+                                lat.completed - lat.arrival
+                            ),
+                        });
                     }
                 }
                 if row.at < last_batch_at {
-                    let detail = format!(
-                        "batch seq {seq} starts at {} before previous batch at {last_batch_at}",
-                        row.at
-                    );
-                    fail("serve.rows_monotone", detail);
+                    out.push(Violation {
+                        check: "serve.rows_monotone",
+                        detail: format!(
+                            "batch seq {} starts at {} before previous batch at {}",
+                            row.seq, row.at, last_batch_at
+                        ),
+                    });
                 }
                 last_batch_at = row.at;
             }
-            "edit" if size != 0 || roots != 0 => {
-                let detail =
-                    format!("edit seq {seq} carries batch fields (size {size}, roots {roots})");
-                fail("serve.rows_edit_shape", detail);
+            "edit" => {
+                if row.batch_size != 0 || row.requested_roots != 0 {
+                    out.push(Violation {
+                        check: "serve.rows_edit_shape",
+                        detail: format!(
+                            "edit seq {} carries batch fields (size {}, roots {})",
+                            row.seq, row.batch_size, row.requested_roots
+                        ),
+                    });
+                }
             }
-            "edit" => {}
-            other => fail(
-                "serve.rows_event",
-                format!("row seq {seq} has unknown event {other:?}"),
-            ),
+            other => {
+                out.push(Violation {
+                    check: "serve.rows_event",
+                    detail: format!("row seq {} has unknown event {other:?}", row.seq),
+                });
+            }
+        }
+        if out.len() >= 8 {
+            break;
         }
     }
     out
