@@ -220,7 +220,9 @@ impl<'g> Resume<'g> {
             let io = |e: std::io::Error| Violation::new("ckpt.io", format!("{chunk:?}: {e}"));
             let mut bytes = std::fs::read(&chunk).map_err(io)?;
             let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
+            if let Some(byte) = bytes.get_mut(mid) {
+                *byte ^= 0x40;
+            }
             std::fs::write(&chunk, bytes).map_err(io)?;
         } else if cfg.traversal == TraversalMode::Pull {
             resume_cfg.traversal = TraversalMode::Push;

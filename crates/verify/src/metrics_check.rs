@@ -19,6 +19,10 @@
 //! traced `F_next` `atomicOr`s, and no CAS at all. Priced atomics and
 //! backward atomic-freedom are checked beside it by
 //! [`crate::replay::verify_root_with`].
+//!
+//! The module also holds the harness's schedule transform,
+//! [`Schedules`], whose extra checks are the worker-record replay
+//! ([`check_worker_metrics`]) and the per-root metrics stream.
 
 use crate::harness::{vertex_keyed, Axis, Keyed, Transform, Transformed};
 use crate::invariants::Violation;
