@@ -114,8 +114,6 @@ fn rejected(e: &CheckpointError) -> Violation {
     Violation::new(check, format!("checkpoint rejected: {e}"))
 }
 
-type DurableRun = Result<ClusterRun, ClusterError>;
-
 fn run_failed(e: ClusterError) -> Violation {
     match e {
         ClusterError::Checkpoint { source } => rejected(&source),
@@ -138,7 +136,12 @@ impl<'g> Resume<'g> {
         Resume { cluster, overlay }
     }
 
-    fn durable(&self, cfg: &ClusterConfig, plan: &FaultPlan, dir: &Path) -> DurableRun {
+    fn durable(
+        &self,
+        cfg: &ClusterConfig,
+        plan: &FaultPlan,
+        dir: &Path,
+    ) -> Result<ClusterRun, ClusterError> {
         let durability = DurabilityOptions {
             checkpoint: Some(dir.to_path_buf()),
             ..DurabilityOptions::default()
