@@ -169,11 +169,12 @@ CLUSTER:
                        rerun with the same --checkpoint DIR to resume
 
 DURABILITY (--cluster):
-    --checkpoint DIR   stream completed per-root contributions to DIR
-                       and resume from whatever an interrupted run
-                       left there; the manifest pins the graph digest
-                       and the options fingerprint, and a resumed run
-                       is bitwise identical to an uninterrupted one
+    --checkpoint DIR   sync each completed root's contribution to its
+                       own checksummed chunk in DIR and resume from
+                       whatever an interrupted run left there; chunks
+                       and the manifest pin the graph digest and the
+                       options fingerprint, and a resumed run is
+                       bitwise identical to an uninterrupted one
     --deadline-factor F
                        per-root watchdog budget as a multiple (>= 1)
                        of the root's estimated time; GPUs that would

@@ -2,11 +2,14 @@
 //!
 //! Long cluster runs stream each completed root's contribution vector
 //! to an epoch-stamped, checksummed chunk file under a checkpoint
-//! directory. A small text manifest records the graph digest, an
-//! options fingerprint (method / traversal / schedule / partition /
-//! topology), the current epoch, and the completed-root set. Resume
-//! opens the same directory, validates the fingerprint, skips every
-//! completed root, and replays the stored chunks through the same
+//! directory. Every chunk also stamps the options fingerprint (method /
+//! traversal / schedule / partition / topology) and the graph digest of
+//! the run that wrote it. A small text manifest pins the same two
+//! identities, the vertex and root counts, and the current epoch; it is
+//! written once per [`CheckpointStore::open`], never per root. Resume
+//! opens the same directory, validates the manifest, derives the
+//! completed-root set from the chunks whose stamps match the run, skips
+//! those roots, and replays the stored chunks through the same
 //! root-ordered merger the live workers feed — so an
 //! interrupted-then-resumed run is bitwise identical to an
 //! uninterrupted one.
@@ -15,13 +18,22 @@
 //!
 //! ```text
 //! DIR/manifest.txt      hand-parsed text (see [`CheckpointStore::open`])
-//! DIR/root-<idx>.chunk  binary chunk, magic "HBCCHK01", FNV-1a trailer
+//! DIR/root-<idx>.chunk  little-endian u64 words: magic "HBCCHK02",
+//!                       epoch, root index, vertices, options
+//!                       fingerprint, graph digest, encoding (0 sparse,
+//!                       1 dense), entry count; the body; and an FNV-1a
+//!                       trailer over every word before it
 //! ```
 //!
-//! Every write goes through a temp file + rename so a crash mid-write
-//! leaves either the old state or the new state, never a torn file.
+//! A dense body holds all `n` score bit patterns in vertex order. A
+//! sparse body holds `(u32 vertex, u64 bits)` pairs for every score
+//! whose bits are not all zero (so `-0.0` survives), zero-padded to a
+//! whole word. A chunk is written dense whenever that is smaller.
+//!
+//! Every write goes through a temp file, an fsync and a rename, so a
+//! crash mid-write leaves either the old state or the new state, never
+//! a torn file.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
@@ -31,9 +43,15 @@ use std::sync::Mutex;
 use bc_graph::Csr;
 
 /// Magic bytes opening every chunk file.
-const CHUNK_MAGIC: &[u8; 8] = b"HBCCHK01";
+const CHUNK_MAGIC: &[u8; 8] = b"HBCCHK02";
+/// Chunk header: the magic and seven stamp words.
+const HEADER_BYTES: usize = 8 * 8;
+/// Bytes of one sparse `(u32 vertex, u64 bits)` entry.
+const SPARSE_ENTRY_BYTES: usize = 12;
 /// First line of the manifest.
-const MANIFEST_HEADER: &str = "hybrid-bc-checkpoint 1";
+const MANIFEST_HEADER: &str = "hybrid-bc-checkpoint 2";
+/// The manifest's keys, in the order it writes them.
+const MANIFEST_KEYS: [&str; 5] = ["fingerprint", "graph", "vertices", "roots", "epoch"];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -59,6 +77,16 @@ impl Fnv1a {
     fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// FNV-1a over little-endian `u64` words: one multiply per eight
+/// bytes. Each step is a bijection of the running state, so changing
+/// any one word always changes the result.
+fn word_checksum(bytes: &[u8]) -> u64 {
+    debug_assert_eq!(bytes.len() % 8, 0, "chunk payloads are whole words");
+    bytes.chunks_exact(8).fold(FNV_OFFSET, |h, w| {
+        (h ^ u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// FNV-1a digest of a CSR graph: vertex count, offsets, adjacency,
@@ -115,20 +143,20 @@ pub enum CheckpointError {
     Mismatch {
         /// Which field disagreed ("fingerprint", "graph", ...).
         what: &'static str,
-        /// Value recorded in the manifest.
+        /// Value recorded in the manifest or chunk.
         expected: String,
         /// Value of the current run.
         found: String,
     },
-    /// A chunk's epoch stamp disagrees with the manifest — the chunk
-    /// is left over from an earlier incarnation and must not be
-    /// replayed.
+    /// A chunk's epoch stamp is not the one the store holds for its
+    /// root — the chunk is left over from another incarnation and
+    /// must not be replayed.
     Stale {
         /// Root index of the stale chunk.
         root: usize,
         /// Epoch stamped inside the chunk file.
         chunk_epoch: u64,
-        /// Epoch the manifest recorded for this root.
+        /// Epoch the store holds for this root.
         expected_epoch: u64,
     },
 }
@@ -159,7 +187,7 @@ impl fmt::Display for CheckpointError {
             } => write!(
                 f,
                 "checkpoint stale: root {root} chunk stamped epoch {chunk_epoch}, \
-                 manifest expects {expected_epoch}"
+                 store expects {expected_epoch}"
             ),
         }
     }
@@ -182,24 +210,101 @@ fn ioerr(path: &Path, context: &'static str, source: std::io::Error) -> Checkpoi
     }
 }
 
-/// Metadata the manifest records for one completed root.
-#[derive(Clone, Copy, Debug)]
-struct ChunkMeta {
-    /// Epoch the chunk was written under.
-    epoch: u64,
-    /// FNV-1a checksum of the contribution vector's `f64` bits.
-    checksum: u64,
+fn corrupt(path: &Path, detail: String) -> CheckpointError {
+    CheckpointError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    }
 }
 
-#[derive(Debug)]
-struct ManifestState {
-    completed: Vec<Option<ChunkMeta>>,
+/// The stamp words opening a chunk file.
+#[derive(Clone, Copy, Debug)]
+struct ChunkHeader {
+    epoch: u64,
+    root: u64,
+    vertices: u64,
+    fingerprint: u64,
+    graph: u64,
+    dense: bool,
+    entries: u64,
+}
+
+impl ChunkHeader {
+    fn to_bytes(self) -> [u8; HEADER_BYTES] {
+        let words = [
+            self.epoch,
+            self.root,
+            self.vertices,
+            self.fingerprint,
+            self.graph,
+            u64::from(self.dense),
+            self.entries,
+        ];
+        let mut out = [0u8; HEADER_BYTES];
+        out[..8].copy_from_slice(CHUNK_MAGIC);
+        for (slot, w) in out[8..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// Parse the first [`HEADER_BYTES`] of `bytes`.
+    fn parse(path: &Path, bytes: &[u8]) -> Result<Self, CheckpointError> {
+        if bytes.len() < HEADER_BYTES {
+            return Err(corrupt(
+                path,
+                format!("chunk truncated at {} bytes", bytes.len()),
+            ));
+        }
+        if &bytes[..8] != CHUNK_MAGIC {
+            return Err(corrupt(path, "bad chunk magic".into()));
+        }
+        let word = |i: usize| {
+            u64::from_le_bytes(
+                bytes[8 * i..8 * i + 8]
+                    .try_into()
+                    .expect("header length checked above"),
+            )
+        };
+        let dense = match word(6) {
+            0 => false,
+            1 => true,
+            other => return Err(corrupt(path, format!("unknown chunk encoding {other}"))),
+        };
+        Ok(Self {
+            epoch: word(1),
+            root: word(2),
+            vertices: word(3),
+            fingerprint: word(4),
+            graph: word(5),
+            dense,
+            entries: word(7),
+        })
+    }
+
+    /// A chunk of this run must be stamped with the root its file
+    /// name gives and with the run's vertex count.
+    fn check_slot(&self, path: &Path, idx: usize, vertices: usize) -> Result<(), CheckpointError> {
+        if self.root != idx as u64 {
+            return Err(corrupt(
+                path,
+                format!("chunk stamped for root {}, expected {idx}", self.root),
+            ));
+        }
+        if self.vertices != vertices as u64 {
+            return Err(corrupt(
+                path,
+                format!("chunk has {} vertices, graph has {vertices}", self.vertices),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// On-disk checkpoint store for one (graph, options) run.
 ///
 /// Thread-safe: workers call [`CheckpointStore::record`] concurrently;
-/// each call writes its chunk and atomically rewrites the manifest
+/// each call writes its own chunk file, then marks the root completed
 /// under an internal lock.
 #[derive(Debug)]
 pub struct CheckpointStore {
@@ -208,7 +313,8 @@ pub struct CheckpointStore {
     fingerprint: u64,
     graph: u64,
     epoch: u64,
-    state: Mutex<ManifestState>,
+    /// Per root, the epoch stamped in its chunk; `None` until recorded.
+    completed: Mutex<Vec<Option<u64>>>,
 }
 
 impl CheckpointStore {
@@ -216,11 +322,15 @@ impl CheckpointStore {
     /// `num_roots` roots on a graph with `vertices` vertices.
     ///
     /// If a manifest already exists it must match `fingerprint`,
-    /// `graph`, `vertices`, and `num_roots` exactly; completed roots
-    /// recorded there become visible through
-    /// [`CheckpointStore::completed`]. Each successful open bumps the
-    /// epoch, so chunks written by abandoned incarnations are
-    /// detectable as stale.
+    /// `graph`, `vertices`, and `num_roots` exactly. Every
+    /// `root-<idx>.chunk` stamped with this `fingerprint` and `graph`
+    /// becomes visible through [`CheckpointStore::completed`]; chunks
+    /// stamped for another configuration are ignored, and a matching
+    /// chunk whose header is damaged, names another root or holds
+    /// another vertex count is `Corrupt`. Each successful open bumps
+    /// the epoch past every one seen, so chunks written by abandoned
+    /// incarnations are detectable as stale, and then writes the
+    /// manifest.
     pub fn open(
         dir: &Path,
         fingerprint: u64,
@@ -230,59 +340,72 @@ impl CheckpointStore {
     ) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| ioerr(dir, "create checkpoint dir", e))?;
         let manifest = dir.join("manifest.txt");
-        let mut completed: Vec<Option<ChunkMeta>> = vec![None; num_roots];
         let mut epoch = 0u64;
         match fs::read_to_string(&manifest) {
             Ok(text) => {
-                let parsed = parse_manifest(&manifest, &text)?;
-                check_match("fingerprint", parsed.fingerprint, fingerprint)?;
-                check_match("graph", parsed.graph, graph)?;
-                if parsed.vertices != vertices as u64 {
-                    return Err(CheckpointError::Mismatch {
-                        what: "vertices",
-                        expected: parsed.vertices.to_string(),
-                        found: vertices.to_string(),
-                    });
-                }
-                if parsed.roots != num_roots as u64 {
-                    return Err(CheckpointError::Mismatch {
-                        what: "roots",
-                        expected: parsed.roots.to_string(),
-                        found: num_roots.to_string(),
-                    });
-                }
-                epoch = parsed.epoch;
-                for (idx, meta) in parsed.done {
-                    if idx >= num_roots {
-                        return Err(CheckpointError::Corrupt {
-                            path: manifest.clone(),
-                            detail: format!("done index {idx} out of range ({num_roots} roots)"),
+                let [fp, gd, nv, nr, ep] = parse_manifest(&manifest, &text)?;
+                check_match("fingerprint", fp, fingerprint)?;
+                check_match("graph", gd, graph)?;
+                for (what, recorded, run) in [
+                    ("vertices", nv, vertices as u64),
+                    ("roots", nr, num_roots as u64),
+                ] {
+                    if recorded != run {
+                        return Err(CheckpointError::Mismatch {
+                            what,
+                            expected: recorded.to_string(),
+                            found: run.to_string(),
                         });
                     }
-                    completed[idx] = Some(meta);
                 }
+                epoch = ep;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                return Err(CheckpointError::Corrupt {
-                    path: manifest.clone(),
-                    detail: "manifest is not valid UTF-8".into(),
-                })
+                return Err(corrupt(&manifest, "manifest is not valid UTF-8".into()))
             }
             Err(e) => return Err(ioerr(&manifest, "read manifest", e)),
         }
+
+        let mut completed: Vec<Option<u64>> = vec![None; num_roots];
+        let entries = fs::read_dir(dir).map_err(|e| ioerr(dir, "list checkpoint dir", e))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| ioerr(dir, "list checkpoint dir", e))?;
+            let name = entry.file_name();
+            let Some(idx) = name
+                .to_str()
+                .and_then(|s| s.strip_prefix("root-")?.strip_suffix(".chunk"))
+                .and_then(|s| s.parse::<usize>().ok())
+            else {
+                continue;
+            };
+            let path = entry.path();
+            let header = read_header(&path)?;
+            if header.fingerprint != fingerprint || header.graph != graph {
+                // Left by another configuration (its manifest since
+                // removed); never replayed, overwritten when recorded.
+                continue;
+            }
+            if idx >= num_roots {
+                return Err(corrupt(
+                    &path,
+                    format!("chunk for root {idx} of {num_roots} roots"),
+                ));
+            }
+            header.check_slot(&path, idx, vertices)?;
+            epoch = epoch.max(header.epoch);
+            completed[idx] = Some(header.epoch);
+        }
+
         let store = Self {
             dir: dir.to_path_buf(),
             vertices,
             fingerprint,
             graph,
             epoch: epoch + 1,
-            state: Mutex::new(ManifestState { completed }),
+            completed: Mutex::new(completed),
         };
-        {
-            let state = store.state.lock().expect("checkpoint lock poisoned");
-            store.write_manifest(&state)?;
-        }
+        store.write_manifest(num_roots)?;
         Ok(store)
     }
 
@@ -290,8 +413,8 @@ impl CheckpointStore {
     /// order.
     #[must_use]
     pub fn completed(&self) -> Vec<bool> {
-        let state = self.state.lock().expect("checkpoint lock poisoned");
-        state.completed.iter().map(Option::is_some).collect()
+        let completed = self.completed.lock().expect("checkpoint lock poisoned");
+        completed.iter().map(Option::is_some).collect()
     }
 
     /// Epoch of the current incarnation (1 for a fresh directory).
@@ -302,123 +425,114 @@ impl CheckpointStore {
 
     /// Record root `idx`'s completed contribution vector.
     ///
-    /// The chunk lands on disk (temp file + rename) before the
-    /// manifest marks the root done, so a crash between the two leaves
-    /// the root merely unrecorded, never recorded-but-missing.
+    /// The chunk is synced and renamed into place before the root is
+    /// marked completed, so once this returns the root survives a
+    /// crash; a crash before that leaves the root merely unrecorded.
     pub fn record(&self, idx: usize, scores: &[f64]) -> Result<(), CheckpointError> {
-        let path = self.chunk_path(idx);
-        let mut body = Vec::with_capacity(40 + scores.len() / 8);
-        body.extend_from_slice(CHUNK_MAGIC);
-        body.extend_from_slice(&self.epoch.to_le_bytes());
-        body.extend_from_slice(&(idx as u64).to_le_bytes());
-        body.extend_from_slice(&(scores.len() as u64).to_le_bytes());
-        let nonzero: Vec<(u32, f64)> = scores
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s != 0.0)
-            .map(|(v, &s)| (v as u32, s))
-            .collect();
-        body.extend_from_slice(&(nonzero.len() as u64).to_le_bytes());
-        for &(v, s) in &nonzero {
-            body.extend_from_slice(&v.to_le_bytes());
-            body.extend_from_slice(&s.to_bits().to_le_bytes());
-        }
-        let mut h = Fnv1a::new();
-        h.update(&body);
-        body.extend_from_slice(&h.finish().to_le_bytes());
-        write_atomic(&path, &body)?;
-
-        let meta = ChunkMeta {
+        let n = scores.len();
+        let nonzero = scores.iter().filter(|s| s.to_bits() != 0).count();
+        // Sparse entries name their vertex in a u32.
+        let dense = 8 * n < SPARSE_ENTRY_BYTES * nonzero || u32::try_from(n).is_err();
+        let header = ChunkHeader {
             epoch: self.epoch,
-            checksum: vector_checksum(scores),
+            root: idx as u64,
+            vertices: n as u64,
+            fingerprint: self.fingerprint,
+            graph: self.graph,
+            dense,
+            entries: (if dense { n } else { nonzero }) as u64,
         };
-        let mut state = self.state.lock().expect("checkpoint lock poisoned");
-        state.completed[idx] = Some(meta);
-        self.write_manifest(&state)
+        let body_bytes = if dense {
+            8 * n
+        } else {
+            (SPARSE_ENTRY_BYTES * nonzero).next_multiple_of(8)
+        };
+        let mut chunk = Vec::with_capacity(HEADER_BYTES + body_bytes + 8);
+        chunk.extend_from_slice(&header.to_bytes());
+        if dense {
+            for &s in scores {
+                chunk.extend_from_slice(&s.to_bits().to_le_bytes());
+            }
+        } else {
+            for (v, &s) in scores.iter().enumerate().filter(|(_, s)| s.to_bits() != 0) {
+                chunk.extend_from_slice(&(v as u32).to_le_bytes());
+                chunk.extend_from_slice(&s.to_bits().to_le_bytes());
+            }
+            chunk.resize(HEADER_BYTES + body_bytes, 0);
+        }
+        let trailer = word_checksum(&chunk);
+        chunk.extend_from_slice(&trailer.to_le_bytes());
+        write_atomic(&self.chunk_path(idx), &chunk)?;
+
+        let mut completed = self.completed.lock().expect("checkpoint lock poisoned");
+        completed[idx] = Some(self.epoch);
+        Ok(())
     }
 
     /// Load root `idx`'s stored contribution vector, verifying the
-    /// chunk's magic, identity, epoch stamp, and checksum.
+    /// chunk's checksum, magic, epoch stamp, identity stamps and body
+    /// length.
     pub fn load(&self, idx: usize) -> Result<Vec<f64>, CheckpointError> {
-        let expected = {
-            let state = self.state.lock().expect("checkpoint lock poisoned");
-            state.completed.get(idx).copied().flatten()
-        };
-        let Some(meta) = expected else {
-            return Err(CheckpointError::Corrupt {
-                path: self.chunk_path(idx),
-                detail: format!("root {idx} not recorded in manifest"),
-            });
-        };
         let path = self.chunk_path(idx);
-        let mut file = fs::File::open(&path).map_err(|e| ioerr(&path, "open chunk", e))?;
-        let mut body = Vec::new();
-        file.read_to_end(&mut body)
-            .map_err(|e| ioerr(&path, "read chunk", e))?;
-        let corrupt = |detail: String| CheckpointError::Corrupt {
-            path: path.clone(),
-            detail,
+        let expected = {
+            let completed = self.completed.lock().expect("checkpoint lock poisoned");
+            completed.get(idx).copied().flatten()
         };
-        if body.len() < CHUNK_MAGIC.len() + 8 * 4 + 8 {
-            return Err(corrupt(format!("chunk truncated at {} bytes", body.len())));
+        let Some(expected_epoch) = expected else {
+            return Err(corrupt(&path, format!("root {idx} not recorded")));
+        };
+        let bytes = fs::read(&path).map_err(|e| ioerr(&path, "read chunk", e))?;
+        if bytes.len() < HEADER_BYTES + 8 || bytes.len() % 8 != 0 {
+            return Err(corrupt(
+                &path,
+                format!("chunk truncated at {} bytes", bytes.len()),
+            ));
         }
-        let (payload, trailer) = body.split_at(body.len() - 8);
-        let mut h = Fnv1a::new();
-        h.update(payload);
+        let (payload, trailer) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().expect("split_at gave 8 bytes"));
-        if h.finish() != stored {
-            return Err(corrupt("chunk checksum mismatch".into()));
+        if word_checksum(payload) != stored {
+            return Err(corrupt(&path, "chunk checksum mismatch".into()));
         }
-        if &payload[..8] != CHUNK_MAGIC {
-            return Err(corrupt("bad chunk magic".into()));
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(
-                payload[8 + 8 * i..16 + 8 * i]
-                    .try_into()
-                    .expect("bounds checked above"),
-            )
-        };
-        let chunk_epoch = word(0);
-        if chunk_epoch != meta.epoch {
+        let header = ChunkHeader::parse(&path, payload)?;
+        if header.epoch != expected_epoch {
             return Err(CheckpointError::Stale {
                 root: idx,
-                chunk_epoch,
-                expected_epoch: meta.epoch,
+                chunk_epoch: header.epoch,
+                expected_epoch,
             });
         }
-        if word(1) != idx as u64 {
-            return Err(corrupt(format!(
-                "chunk stamped for root {}, expected {idx}",
-                word(1)
-            )));
+        check_match("fingerprint", header.fingerprint, self.fingerprint)?;
+        check_match("graph", header.graph, self.graph)?;
+        let n = self.vertices;
+        header.check_slot(&path, idx, n)?;
+        let body = &payload[HEADER_BYTES..];
+        let entries = usize::try_from(header.entries).unwrap_or(usize::MAX);
+        let body_ok = if header.dense {
+            entries == n && body.len() == 8 * n
+        } else {
+            entries <= n && body.len() == (SPARSE_ENTRY_BYTES * entries).next_multiple_of(8)
+        };
+        if !body_ok {
+            return Err(corrupt(
+                &path,
+                format!(
+                    "chunk body is {} bytes for {entries} {} entries",
+                    body.len(),
+                    if header.dense { "dense" } else { "sparse" }
+                ),
+            ));
         }
-        let n = word(2);
-        if n != self.vertices as u64 {
-            return Err(corrupt(format!(
-                "chunk has {n} vertices, graph has {}",
-                self.vertices
-            )));
+        let bits = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        if header.dense {
+            return Ok(body.chunks_exact(8).map(bits).collect());
         }
-        let count = word(3) as usize;
-        let entries = &payload[8 + 8 * 4..];
-        if entries.len() != count * 12 {
-            return Err(corrupt(format!(
-                "chunk body is {} bytes for {count} entries",
-                entries.len()
-            )));
-        }
-        let mut scores = vec![0.0f64; self.vertices];
-        for e in entries.chunks_exact(12) {
-            let v = u32::from_le_bytes(e[..4].try_into().expect("chunk of 12")) as usize;
-            let bits = u64::from_le_bytes(e[4..].try_into().expect("chunk of 12"));
-            if v >= self.vertices {
-                return Err(corrupt(format!("entry vertex {v} out of range")));
+        let mut scores = vec![0.0f64; n];
+        for e in body.chunks_exact(SPARSE_ENTRY_BYTES).take(entries) {
+            let v = u32::from_le_bytes(e[..4].try_into().expect("entry of 12")) as usize;
+            if v >= n {
+                return Err(corrupt(&path, format!("entry vertex {v} out of range")));
             }
-            scores[v] = f64::from_bits(bits);
-        }
-        if vector_checksum(&scores) != meta.checksum {
-            return Err(corrupt("manifest checksum mismatch".into()));
+            scores[v] = bits(&e[4..]);
         }
         Ok(scores)
     }
@@ -427,32 +541,29 @@ impl CheckpointStore {
         self.dir.join(format!("root-{idx}.chunk"))
     }
 
-    fn write_manifest(&self, state: &ManifestState) -> Result<(), CheckpointError> {
-        let mut text = String::new();
-        text.push_str(MANIFEST_HEADER);
-        text.push('\n');
-        text.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
-        text.push_str(&format!("graph {:016x}\n", self.graph));
-        text.push_str(&format!("vertices {}\n", self.vertices));
-        text.push_str(&format!("roots {}\n", state.completed.len()));
-        text.push_str(&format!("epoch {}\n", self.epoch));
-        for (idx, meta) in state.completed.iter().enumerate() {
-            if let Some(m) = meta {
-                text.push_str(&format!("done {idx} {} {:016x}\n", m.epoch, m.checksum));
-            }
+    fn write_manifest(&self, num_roots: usize) -> Result<(), CheckpointError> {
+        let values = [
+            format!("{:016x}", self.fingerprint),
+            format!("{:016x}", self.graph),
+            self.vertices.to_string(),
+            num_roots.to_string(),
+            self.epoch.to_string(),
+        ];
+        let mut text = format!("{MANIFEST_HEADER}\n");
+        for (key, value) in MANIFEST_KEYS.iter().zip(values) {
+            text.push_str(&format!("{key} {value}\n"));
         }
         write_atomic(&self.dir.join("manifest.txt"), text.as_bytes())
     }
 }
 
-/// FNV-1a over the little-endian bit patterns of a score vector —
-/// same convention as the cluster reduce checksum.
-fn vector_checksum(scores: &[f64]) -> u64 {
-    let mut h = Fnv1a::new();
-    for &s in scores {
-        h.update(&s.to_bits().to_le_bytes());
-    }
-    h.finish()
+/// Read and parse the header of the chunk at `path`.
+fn read_header(path: &Path) -> Result<ChunkHeader, CheckpointError> {
+    let mut bytes = Vec::with_capacity(HEADER_BYTES);
+    fs::File::open(path)
+        .and_then(|f| f.take(HEADER_BYTES as u64).read_to_end(&mut bytes))
+        .map_err(|e| ioerr(path, "read chunk header", e))?;
+    ChunkHeader::parse(path, &bytes)
 }
 
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
@@ -464,15 +575,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
         f.sync_all().map_err(|e| ioerr(&tmp, "sync temp file", e))?;
     }
     fs::rename(&tmp, path).map_err(|e| ioerr(path, "rename into place", e))
-}
-
-struct ParsedManifest {
-    fingerprint: u64,
-    graph: u64,
-    vertices: u64,
-    roots: u64,
-    epoch: u64,
-    done: BTreeMap<usize, ChunkMeta>,
 }
 
 fn check_match(what: &'static str, expected: u64, found: u64) -> Result<(), CheckpointError> {
@@ -488,102 +590,33 @@ fn check_match(what: &'static str, expected: u64, found: u64) -> Result<(), Chec
 
 /// Hand-rolled parse of the text manifest (the vendored serde stack
 /// only serializes, so the manifest is a line-oriented format parsed
-/// here directly).
-fn parse_manifest(path: &Path, text: &str) -> Result<ParsedManifest, CheckpointError> {
-    let corrupt = |detail: String| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail,
-    };
+/// here directly). Returns the values of [`MANIFEST_KEYS`] in order;
+/// the two digests are hex, the counts decimal.
+fn parse_manifest(path: &Path, text: &str) -> Result<[u64; 5], CheckpointError> {
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_HEADER) {
-        return Err(corrupt("bad manifest header".into()));
+        return Err(corrupt(path, "bad manifest header".into()));
     }
-    let mut fingerprint = None;
-    let mut graph = None;
-    let mut vertices = None;
-    let mut roots = None;
-    let mut epoch = None;
-    let mut done = BTreeMap::new();
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_ascii_whitespace();
-        let key = parts.next().unwrap_or("");
-        let fields: Vec<&str> = parts.collect();
-        let one = || -> Result<&str, CheckpointError> {
-            if fields.len() == 1 {
-                Ok(fields[0])
-            } else {
-                Err(corrupt(format!("malformed manifest line: {line:?}")))
-            }
-        };
-        match key {
-            "fingerprint" => {
-                fingerprint = Some(
-                    u64::from_str_radix(one()?, 16)
-                        .map_err(|e| corrupt(format!("bad fingerprint: {e}")))?,
-                );
-            }
-            "graph" => {
-                graph = Some(
-                    u64::from_str_radix(one()?, 16)
-                        .map_err(|e| corrupt(format!("bad graph digest: {e}")))?,
-                );
-            }
-            "vertices" => {
-                vertices = Some(
-                    one()?
-                        .parse::<u64>()
-                        .map_err(|e| corrupt(format!("bad vertex count: {e}")))?,
-                );
-            }
-            "roots" => {
-                roots = Some(
-                    one()?
-                        .parse::<u64>()
-                        .map_err(|e| corrupt(format!("bad root count: {e}")))?,
-                );
-            }
-            "epoch" => {
-                epoch = Some(
-                    one()?
-                        .parse::<u64>()
-                        .map_err(|e| corrupt(format!("bad epoch: {e}")))?,
-                );
-            }
-            "done" => {
-                if fields.len() != 3 {
-                    return Err(corrupt(format!("malformed done line: {line:?}")));
-                }
-                let idx = fields[0]
-                    .parse::<usize>()
-                    .map_err(|e| corrupt(format!("bad done index: {e}")))?;
-                let ep = fields[1]
-                    .parse::<u64>()
-                    .map_err(|e| corrupt(format!("bad done epoch: {e}")))?;
-                let checksum = u64::from_str_radix(fields[2], 16)
-                    .map_err(|e| corrupt(format!("bad done checksum: {e}")))?;
-                done.insert(
-                    idx,
-                    ChunkMeta {
-                        epoch: ep,
-                        checksum,
-                    },
-                );
-            }
-            _ => return Err(corrupt(format!("unknown manifest key {key:?}"))),
-        }
+    let mut values = [None; MANIFEST_KEYS.len()];
+    for line in lines.map(str::trim).filter(|l| !l.is_empty()) {
+        let (key, value) = line
+            .split_once(' ')
+            .ok_or_else(|| corrupt(path, format!("malformed manifest line: {line:?}")))?;
+        let slot = MANIFEST_KEYS
+            .iter()
+            .position(|k| *k == key)
+            .ok_or_else(|| corrupt(path, format!("unknown manifest key {key:?}")))?;
+        let radix = if slot < 2 { 16 } else { 10 };
+        values[slot] = Some(
+            u64::from_str_radix(value.trim(), radix)
+                .map_err(|e| corrupt(path, format!("bad {key}: {e}")))?,
+        );
     }
-    Ok(ParsedManifest {
-        fingerprint: fingerprint.ok_or_else(|| corrupt("manifest missing fingerprint".into()))?,
-        graph: graph.ok_or_else(|| corrupt("manifest missing graph digest".into()))?,
-        vertices: vertices.ok_or_else(|| corrupt("manifest missing vertices".into()))?,
-        roots: roots.ok_or_else(|| corrupt("manifest missing roots".into()))?,
-        epoch: epoch.ok_or_else(|| corrupt("manifest missing epoch".into()))?,
-        done,
-    })
+    let mut out = [0u64; MANIFEST_KEYS.len()];
+    for ((slot, value), key) in out.iter_mut().zip(values).zip(MANIFEST_KEYS) {
+        *slot = value.ok_or_else(|| corrupt(path, format!("manifest missing {key}")))?;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -600,6 +633,15 @@ mod tests {
         dir
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// The chunk's encoding word: 1 for a dense body, 0 for sparse.
+    fn encoding(dir: &Path, idx: usize) -> u8 {
+        fs::read(dir.join(format!("root-{idx}.chunk"))).expect("read chunk")[48]
+    }
+
     #[test]
     fn record_load_round_trips_bitwise() {
         let dir = temp_dir("roundtrip");
@@ -607,11 +649,36 @@ mod tests {
         let scores = vec![0.0, 1.5, 0.0, -2.25, 1e-300];
         store.record(1, &scores).expect("record");
         let back = store.load(1).expect("load");
-        assert_eq!(
-            back.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&back), bits(&scores));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn special_values_round_trip_bitwise_dense_and_sparse() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+        ];
+        // Twelve vertices, eleven nonzero bit patterns: dense is smaller.
+        let mut dense = specials.to_vec();
+        dense.extend([1.0; 6]);
+        // Thirty vertices, five nonzero bit patterns: sparse is smaller.
+        let mut sparse = specials.to_vec();
+        sparse.extend([0.0; 24]);
+        for (scores, want_dense) in [(dense, 1), (sparse, 0)] {
+            let dir = temp_dir("specials");
+            let store = CheckpointStore::open(&dir, 7, 9, scores.len(), 1).expect("open");
+            store.record(0, &scores).expect("record");
+            assert_eq!(encoding(&dir, 0), want_dense);
+            assert_eq!(bits(&store.load(0).expect("load")), bits(&scores));
+            let reopened = CheckpointStore::open(&dir, 7, 9, scores.len(), 1).expect("reopen");
+            assert_eq!(bits(&reopened.load(0).expect("load")), bits(&scores));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -656,6 +723,27 @@ mod tests {
     }
 
     #[test]
+    fn chunks_of_another_configuration_are_not_completed() {
+        let dir = temp_dir("foreign");
+        let scores = [0.0, 2.0, 0.0, 4.0];
+        let store = CheckpointStore::open(&dir, 7, 9, 4, 4).expect("open");
+        store.record(1, &scores).expect("record");
+        drop(store);
+        let manifest = dir.join("manifest.txt");
+        for (fp, graph) in [(8, 9), (7, 10)] {
+            fs::remove_file(&manifest).expect("delete manifest");
+            let other = CheckpointStore::open(&dir, fp, graph, 4, 4).expect("open other");
+            assert_eq!(other.completed(), vec![false; 4], "fp {fp} graph {graph}");
+        }
+        // The run that wrote the chunk still finds it without a manifest.
+        fs::remove_file(&manifest).expect("delete manifest");
+        let store = CheckpointStore::open(&dir, 7, 9, 4, 4).expect("reopen");
+        assert_eq!(store.completed(), vec![false, true, false, false]);
+        assert_eq!(bits(&store.load(1).expect("load")), bits(&scores));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupted_chunk_is_rejected() {
         let dir = temp_dir("corrupt");
         let store = CheckpointStore::open(&dir, 7, 9, 4, 4).expect("open");
@@ -668,6 +756,87 @@ mod tests {
         let err = store.load(1).expect_err("must reject");
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_corrupt() {
+        // Sparse with a padded body, sparse without, and dense.
+        let cases: [&[f64]; 3] = [
+            &[0.0, 2.0, 0.0, 0.0],
+            &[0.0, 2.0, 0.0, 4.0],
+            &[1.0, 2.0, -0.0, 4.0],
+        ];
+        for scores in cases {
+            let dir = temp_dir("flips");
+            let store = CheckpointStore::open(&dir, 7, 9, 4, 4).expect("open");
+            store.record(1, scores).expect("record");
+            let path = dir.join("root-1.chunk");
+            let clean = fs::read(&path).expect("read chunk");
+            for i in 0..clean.len() {
+                let mut bytes = clean.clone();
+                bytes[i] ^= 0x01;
+                fs::write(&path, &bytes).expect("rewrite chunk");
+                let err = store.load(1).expect_err("flip must be rejected");
+                assert!(
+                    matches!(err, CheckpointError::Corrupt { .. }),
+                    "byte {i} of {}: {err}",
+                    clean.len()
+                );
+            }
+            fs::write(&path, &clean).expect("restore chunk");
+            assert_eq!(bits(&store.load(1).expect("load")), bits(scores));
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn truncated_or_misstamped_chunks_are_errors_not_panics() {
+        let dir = temp_dir("truncated");
+        let store = CheckpointStore::open(&dir, 7, 9, 4, 4).expect("open");
+        store.record(1, &[1.0, 2.0, 3.0, 4.0]).expect("record");
+        let path = dir.join("root-1.chunk");
+        let clean = fs::read(&path).expect("read chunk");
+        drop(store);
+        for len in [0, 7, HEADER_BYTES - 1, HEADER_BYTES, clean.len() - 1] {
+            fs::write(&path, &clean[..len]).expect("truncate");
+            let err = CheckpointStore::open(&dir, 7, 9, 4, 4)
+                .and_then(|s| s.load(1))
+                .expect_err("truncated chunk must be rejected");
+            assert!(
+                matches!(err, CheckpointError::Corrupt { .. }),
+                "{len}: {err}"
+            );
+        }
+
+        // Root 5 of an 8-root store lands in a 4-root directory, once
+        // under its own name and once under an in-range one.
+        let wide = temp_dir("wide");
+        let store = CheckpointStore::open(&wide, 7, 9, 4, 8).expect("open wide");
+        store.record(5, &[1.0, 2.0, 3.0, 4.0]).expect("record");
+        let chunk5 = fs::read(wide.join("root-5.chunk")).expect("read chunk");
+        fs::write(&path, &clean).expect("restore");
+        for name in ["root-5.chunk", "root-1.chunk"] {
+            let narrow = temp_dir("narrow");
+            fs::create_dir_all(&narrow).expect("mkdir");
+            fs::write(narrow.join(name), &chunk5).expect("plant");
+            let err = CheckpointStore::open(&narrow, 7, 9, 4, 4).expect_err("must reject");
+            assert!(
+                matches!(err, CheckpointError::Corrupt { .. }),
+                "{name}: {err}"
+            );
+            let _ = fs::remove_dir_all(&narrow);
+        }
+
+        // A five-vertex chunk under a four-vertex run.
+        let five = temp_dir("five");
+        let store = CheckpointStore::open(&five, 7, 9, 5, 4).expect("open five");
+        store.record(1, &[1.0, 2.0, 3.0, 4.0, 5.0]).expect("record");
+        fs::remove_file(five.join("manifest.txt")).expect("delete manifest");
+        let err = CheckpointStore::open(&five, 7, 9, 4, 4).expect_err("must reject");
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+        for d in [&dir, &wide, &five] {
+            let _ = fs::remove_dir_all(d);
+        }
     }
 
     #[test]

@@ -238,7 +238,8 @@ impl<'g> Resume<'g> {
     }
 
     /// A chunk file written under an earlier epoch must not satisfy a
-    /// later manifest, though its own checksum still matches.
+    /// store that holds a later epoch for its root, though its own
+    /// checksum still matches.
     fn stale(&self) -> Result<Transformed, Violation> {
         let (dir, g) = (ScratchDir::new(), self.cluster.g);
         let (n, fp, digest) = (
