@@ -1,13 +1,15 @@
 //! Shared harness code for the experiment binaries.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! DESIGN.md §4). Common concerns — CLI flags, deterministic seeds,
-//! table rendering, JSON result export — live here.
+//! Every `fig*`/`table*` binary and `ablations` regenerates one table
+//! or figure of the paper (see DESIGN.md §4); `sweep` runs the
+//! extension experiments. Common concerns — CLI flags, deterministic
+//! seeds, the results header, table rendering, JSON result export —
+//! live here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use serde::Serialize;
+pub use serde::{Serialize, Value};
 use std::path::PathBuf;
 
 /// Default seed for every experiment (override with `--seed`).
@@ -21,8 +23,8 @@ pub struct Args {
 
 impl Args {
     /// Parse the process arguments. A `--name` followed by another
-    /// flag (or nothing) is a bare boolean switch (see
-    /// [`Args::flag`]); otherwise the next token is its value.
+    /// flag (or nothing) is a bare switch with the value `true`;
+    /// otherwise the next token is its value.
     pub fn from_env() -> Self {
         let mut pairs = Vec::new();
         let mut it = std::env::args().skip(1).peekable();
@@ -41,11 +43,6 @@ impl Args {
             }
         }
         Args { pairs }
-    }
-
-    /// Is the bare switch `--name` (or `--name true`) present?
-    pub fn flag(&self, name: &str) -> bool {
-        self.get(name, false)
     }
 
     /// Look up a flag, parsing it into `T`.
@@ -106,6 +103,151 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("serialize experiment record");
     std::fs::write(&path, json).expect("write experiment record");
     eprintln!("wrote {}", path.display());
+}
+
+/// Cores the host offers this process.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(1)
+}
+
+/// The commit checked out in the nearest enclosing git work tree, or
+/// `"unknown"` outside one (a source export carries no history).
+pub fn commit() -> String {
+    let Ok(cwd) = std::env::current_dir() else {
+        return "unknown".into();
+    };
+    let Some(git) = cwd.ancestors().map(|d| d.join(".git")).find(|p| p.is_dir()) else {
+        return "unknown".into();
+    };
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_owned();
+    };
+    if let Ok(hash) = std::fs::read_to_string(git.join(reference)) {
+        return hash.trim().to_owned();
+    }
+    std::fs::read_to_string(git.join("packed-refs"))
+        .ok()
+        .and_then(|packed| {
+            packed.lines().find_map(|line| {
+                let (hash, name) = line.split_once(' ')?;
+                (name == reference).then(|| hash.to_owned())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The header a results file starts with (perfbench's field names).
+#[derive(Serialize)]
+pub struct Header {
+    /// Commit the producing binary was run from.
+    pub commit: String,
+    /// Seed of every generator and plan.
+    pub seed: u64,
+    /// Cores the host offered the run.
+    pub host_cores: usize,
+    /// `quick` or `full`.
+    pub mode: &'static str,
+    /// Producing binary and package version.
+    pub binary: String,
+}
+
+impl Header {
+    /// The header of a run of this process.
+    pub fn new(seed: u64, quick: bool) -> Self {
+        let exe = std::env::current_exe()
+            .ok()
+            .and_then(|p| p.file_stem().map(|f| f.to_string_lossy().into_owned()))
+            .unwrap_or_else(|| "bc-bench".into());
+        Header {
+            commit: commit(),
+            seed,
+            host_cores: host_cores(),
+            mode: if quick { "quick" } else { "full" },
+            binary: format!("{exe} {}", env!("CARGO_PKG_VERSION")),
+        }
+    }
+}
+
+/// One result row: `row! { graph, n: g.num_vertices() }` is a
+/// [`Value`] object with the field names as keys, in order; a bare
+/// name is its own value.
+#[macro_export]
+macro_rules! row {
+    (@ $key:ident) => {
+        $crate::Serialize::to_value(&$key)
+    };
+    (@ $key:ident : $value:expr) => {
+        $crate::Serialize::to_value(&$value)
+    };
+    ($($key:ident $(: $value:expr)?),* $(,)?) => {
+        $crate::Value::Object(vec![
+            $((stringify!($key).to_string(), $crate::row!(@ $key $(: $value)?))),*
+        ])
+    };
+}
+
+/// A named list of result rows (see [`row!`]); the name is the rows'
+/// key in the results file.
+pub struct Table {
+    name: &'static str,
+    rows: Vec<Value>,
+}
+
+impl Table {
+    /// A table called `name` holding `rows`.
+    pub fn new(name: &'static str, rows: Vec<Value>) -> Self {
+        Table { name, rows }
+    }
+
+    /// Print the table: one column per field of the rows.
+    pub fn print(&self) {
+        let Some(Value::Object(first)) = self.rows.first() else {
+            return;
+        };
+        let headers: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| match row {
+                Value::Object(fields) => fields.iter().map(|(_, v)| cell(v)).collect(),
+                other => vec![cell(other)],
+            })
+            .collect();
+        println!("{}:", self.name);
+        print_table(&headers, &rows);
+        println!();
+    }
+}
+
+/// One table cell: floats to four decimals (scientific outside
+/// [1e-3, 1e6)), strings bare, pairs joined by `/`, anything else as
+/// JSON.
+fn cell(v: &Value) -> String {
+    match v {
+        Value::Float(x) if *x == 0.0 || (1e-3..1e6).contains(&x.abs()) => format!("{x:.4}"),
+        Value::Float(x) => format!("{x:.3e}"),
+        Value::Str(s) => s.clone(),
+        Value::Array(items) => items.iter().map(cell).collect::<Vec<_>>().join("/"),
+        other => serde_json::to_string(other).expect("a value tree always renders"),
+    }
+}
+
+/// Write `results/<stem>.json`: the header, then each table's rows
+/// under its name.
+pub fn write_results(stem: &str, header: &Header, tables: &[Table]) {
+    let mut doc = vec![("header".to_string(), header.to_value())];
+    doc.extend(
+        tables
+            .iter()
+            .map(|t| (t.name.to_string(), Value::Array(t.rows.clone()))),
+    );
+    write_json(stem, &Value::Object(doc));
 }
 
 /// Render an aligned text table.

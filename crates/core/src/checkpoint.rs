@@ -30,9 +30,10 @@
 //! whose bits are not all zero (so `-0.0` survives), zero-padded to a
 //! whole word. A chunk is written dense whenever that is smaller.
 //!
-//! Every write goes through a temp file, an fsync and a rename, so a
-//! crash mid-write leaves either the old state or the new state, never
-//! a torn file.
+//! Every write goes through a temp file, an fsync, a rename and an
+//! fsync of the directory, so a crash mid-write leaves either the old
+//! state or the new state, never a torn file, and a write that
+//! returned survives a power loss under its final name.
 
 use std::fmt;
 use std::fs;
@@ -574,7 +575,16 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
             .map_err(|e| ioerr(&tmp, "write temp file", e))?;
         f.sync_all().map_err(|e| ioerr(&tmp, "sync temp file", e))?;
     }
-    fs::rename(&tmp, path).map_err(|e| ioerr(path, "rename into place", e))
+    fs::rename(&tmp, path).map_err(|e| ioerr(path, "rename into place", e))?;
+    // The rename is durable only once the directory entry is: sync
+    // the directory too, or a power loss can drop a recorded root.
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| ioerr(dir, "sync checkpoint directory", e))
 }
 
 fn check_match(what: &'static str, expected: u64, found: u64) -> Result<(), CheckpointError> {

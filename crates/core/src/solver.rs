@@ -1156,6 +1156,26 @@ mod tests {
     }
 
     #[test]
+    fn wide_indices_price_more_traffic_not_more_work() {
+        // Forcing u64 CSR indices doubles the priced bytes of every
+        // offset and adjacency fetch; the warp work and every score
+        // bit stay as they are.
+        let g = gen::kronecker(10, 8, 3);
+        let wide = g.clone().with_index_width(bc_graph::CsrIndex::U64);
+        let opts = BcOptions {
+            roots: RootSelection::Strided(8),
+            ..Default::default()
+        };
+        let narrow = Method::WorkEfficient.run(&g, &opts).unwrap();
+        let wide = Method::WorkEfficient.run(&wide, &opts).unwrap();
+        let (n, w) = (&narrow.report.counters, &wide.report.counters);
+        assert!(w.coalesced_bytes > n.coalesced_bytes, "{w:?} vs {n:?}");
+        assert_eq!(w.warp_steps, n.warp_steps);
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&wide.scores), bits(&narrow.scores));
+    }
+
+    #[test]
     fn partition_off_still_ooms() {
         let g = gen::watts_strogatz(4096, 8, 0.1, 7);
         let small = bc_gpusim::DeviceConfig {

@@ -225,7 +225,9 @@ pub fn degree_gini(g: &Csr) -> f64 {
 /// Unlike raw adjacency bytes, this quantity is **label-sensitive**:
 /// degree-descending relabeling packs hub ids into a dense prefix, so
 /// neighbor lists concentrate onto fewer lines and the count drops on
-/// scale-free graphs — the coalescing win `bench_scale` asserts.
+/// scale-free graphs (checked in
+/// `relabel_equiv::tests::degree_order_lowers_gather_lines_and_hub_transactions`
+/// of bc-verify, reported by bc-bench's `sweep scale`).
 pub fn gather_lines(g: &Csr, ids_per_line: u32) -> u64 {
     assert!(ids_per_line > 0);
     let mut lines = 0u64;
@@ -240,6 +242,26 @@ pub fn gather_lines(g: &Csr, ids_per_line: u32) -> u64 {
         }
     }
     lines
+}
+
+/// Byte ranges of the `count` highest-degree vertices' adjacency rows
+/// (ties broken by vertex id) — the hub frontier a scale-free search
+/// converges onto within a level or two. Label-sensitive like
+/// [`gather_lines`]: degree-descending relabeling packs these rows
+/// into a dense prefix of the adjacency array, so fewer 128-byte lines
+/// cover them.
+pub fn hub_adjacency_ranges(g: &Csr, count: usize) -> Vec<(u64, u64)> {
+    let mut by_degree: Vec<u32> = g.vertices().collect();
+    by_degree.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    let ib = g.index_bytes();
+    by_degree
+        .iter()
+        .take(count)
+        .map(|&v| {
+            let r = g.edge_range(v);
+            (r.start as u64 * ib, r.end as u64 * ib)
+        })
+        .collect()
 }
 
 /// Fit the tail exponent of a power-law degree distribution via the

@@ -24,7 +24,7 @@
 //!   deciding which cached roots survive an edit.
 //! * [`traffic`] — seeded open-loop (Poisson) and closed-loop
 //!   (think-time) load generators and the percentile helper behind
-//!   `bench_serve`.
+//!   bc-bench's `sweep serve`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

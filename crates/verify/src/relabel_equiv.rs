@@ -119,6 +119,22 @@ mod tests {
     }
 
     #[test]
+    fn degree_order_lowers_gather_lines_and_hub_transactions() {
+        // The layout win the pass exists for, on a small skewed
+        // Kronecker graph: fewer 32-id lines gathered over every
+        // adjacency row, and fewer 128-byte lines under the hub rows.
+        use bc_gpusim::distinct_line_transactions;
+        use bc_graph::stats::{gather_lines, hub_adjacency_ranges};
+        let g = gen::kronecker(11, 8, 5);
+        let r = apply(&g, Relabeling::DegreeDesc).graph;
+        let (before, after) = (gather_lines(&g, 32), gather_lines(&r, 32));
+        assert!(after < before, "gather lines {before} -> {after}");
+        let hubs = |h: &Csr| distinct_line_transactions(hub_adjacency_ranges(h, 512), 128);
+        let (before, after) = (hubs(&g), hubs(&r));
+        assert!(after < before, "hub transactions {before} -> {after}");
+    }
+
+    #[test]
     fn the_identity_relabeling_is_flagged_as_inert() {
         let g = gen::barabasi_albert(300, 3, 2);
         let t = Relabel::new(&g, Method::WorkEfficient, RootSelection::FirstK(8));

@@ -381,6 +381,63 @@ mod tests {
     }
 
     #[test]
+    fn batching_and_caching_price_fewer_seconds_than_the_unbatched_baseline() {
+        // The same open-loop stream served twice: batched with a warm
+        // cache, and with no window and no cache. Both must answer as
+        // a cold recompute does; the first must price strictly fewer
+        // device seconds and hit its cache.
+        let g = gen::watts_strogatz(400, 6, 0.1, 3);
+        let events = serve_stream(&g, 10, 2, 41);
+        let batched = ServeConfig {
+            window: 0.02,
+            ..ServeConfig::default()
+        };
+        let refs = cold_references(&g, &batched, &events);
+        let cold = answers_keyed(refs.iter().map(|(&id, a)| (id, a)));
+        let unbatched = ServeConfig {
+            window: 0.0,
+            cache_budget_bytes: 0,
+            ..ServeConfig::default()
+        };
+        let mut priced = Vec::new();
+        for config in [batched, unbatched] {
+            let mut server = BcServer::single(g.clone(), config);
+            let out = server.run(events.clone()).expect("serving run");
+            let served = answers_keyed(out.responses.iter().map(|r| (r.id, &r.answer)));
+            assert_eq!(diverge(&cold, &served), None);
+            priced.push((
+                out.rows
+                    .iter()
+                    .filter(|r| r.event == "batch")
+                    .map(|r| r.priced_seconds)
+                    .sum::<f64>(),
+                server.cache_stats().hits,
+            ));
+        }
+        let [(fast, hits), (slow, _)] = priced[..] else {
+            unreachable!()
+        };
+        assert!(fast < slow, "batched {fast} s vs unbatched {slow} s");
+        assert!(hits > 0, "the batched server never hit its cache");
+    }
+
+    #[test]
+    fn closed_loop_clients_hit_the_cache() {
+        // Think-time clients re-draw from shared root pools, so a
+        // warm cache must serve some of their roots.
+        let g = gen::watts_strogatz(400, 6, 0.1, 3);
+        let mix = bc_serve::QueryMix::for_graph(g.num_vertices());
+        let mut driver = bc_serve::ClosedLoop::new("default", mix, 2, 5, 10.0, 41);
+        let mut server = BcServer::single(g, ServeConfig::default());
+        while !driver.done() {
+            let out = server.run(driver.next_wave()).expect("closed-loop wave");
+            let done: Vec<(u64, f64)> = out.responses.iter().map(|r| (r.id, r.completed)).collect();
+            driver.record_completions(&done);
+        }
+        assert!(server.cache_stats().hits > 0, "{:?}", server.cache_stats());
+    }
+
+    #[test]
     fn serve_rows_invariants_hold_and_replay() {
         let g = gen::erdos_renyi(40, 120, 7);
         let events = serve_stream(&g, 8, 2, 23);
