@@ -71,6 +71,8 @@ pub struct FrontierSnapshot {
 }
 
 /// Bottom-up statistics of one pull level, for pull-aware pricing.
+/// The engine gathers the unvisited counts and degrees in one scan
+/// over the vertex ids, before the level discovers anything.
 #[derive(Debug)]
 pub struct PullLevelInfo<'a> {
     /// Vertices still unvisited when the level began (the vertices
@@ -576,14 +578,16 @@ pub fn process_root_observed<O: Observer>(
                         ws.f_curr.set(v);
                     }
                 }
-                // Pass A — the bottom-up kernel this level prices:
-                // every unvisited vertex scans its own adjacency for
-                // parents in the compressed frontier, with no early
-                // exit (σ needs *every* parent at depth `depth`, so
-                // the scan may not stop at the first match). The
-                // visited bitmap stays logical (the functional code
-                // reads `dist`), exactly as the push path compares
-                // `dist` while tracing an atomicCAS.
+                // The bottom-up kernel this level prices: every
+                // unvisited vertex scans its own adjacency for parents
+                // in the compressed frontier, with no early exit (σ
+                // needs *every* parent at depth `depth`). One scan
+                // over the vertex ids, before anything is discovered,
+                // gathers the pricing inputs; the per-edge probes are
+                // walked only when traced. The visited bitmap stays
+                // logical (the functional code reads `dist`), exactly
+                // as the push path compares `dist` while tracing an
+                // atomicCAS.
                 let n = g.num_vertices();
                 ws.pull_degrees.clear();
                 if O::ACCESSES {
@@ -599,6 +603,14 @@ pub fn process_root_observed<O: Observer>(
                     }
                 }
                 for w in 0..n as u32 {
+                    // The compressed frontier *is* the kernel's
+                    // membership oracle; it must agree with the
+                    // distance array it compacted.
+                    debug_assert_eq!(
+                        ws.f_curr.contains(w),
+                        ws.dist[w as usize] == depth,
+                        "compressed frontier diverged from distances at {w}"
+                    );
                     if ws.dist[w as usize] != INFINITY {
                         continue;
                     }
@@ -606,13 +618,13 @@ pub fn process_root_observed<O: Observer>(
                     let deg = g.degree(w);
                     pull_unvisited_edges += deg as u64;
                     ws.pull_degrees.push(deg);
-                    let mut parents = 0u64;
-                    for &v in g.neighbors(w) {
-                        if O::ACCESSES {
-                            // F_curr membership probe for the
-                            // neighbor — a read-only bitmap during
-                            // the scan (the compaction's atomicOrs
-                            // are sequenced before it), so no
+                    if O::ACCESSES {
+                        let mut found_parent = false;
+                        for &v in g.neighbors(w) {
+                            // F_curr membership probe for the neighbor
+                            // — a read-only bitmap during the scan
+                            // (the compaction's atomicOrs are
+                            // sequenced before it), so no
                             // synchronization.
                             obs.access(TraceEvent {
                                 thread: w,
@@ -620,17 +632,7 @@ pub fn process_root_observed<O: Observer>(
                                 index: v / VERTICES_PER_WORD,
                                 kind: AccessKind::Read,
                             });
-                        }
-                        // The compressed frontier *is* the membership
-                        // oracle; it must agree with the distance
-                        // array it compacted.
-                        debug_assert_eq!(
-                            ws.f_curr.contains(v),
-                            ws.dist[v as usize] == depth,
-                            "compressed frontier diverged from distances at {v}"
-                        );
-                        if ws.f_curr.contains(v) {
-                            if O::ACCESSES {
+                            if ws.f_curr.contains(v) {
                                 // Parent σ gather: frontier cells are
                                 // never written during a pull level.
                                 obs.access(TraceEvent {
@@ -639,14 +641,10 @@ pub fn process_root_observed<O: Observer>(
                                     index: v,
                                     kind: AccessKind::Read,
                                 });
+                                found_parent = true;
                             }
-                            parents += 1;
                         }
-                    }
-                    if parents > 0 {
-                        ws.dist[w as usize] = depth + 1;
-                        ws.f_next.set(w);
-                        if O::ACCESSES {
+                        if found_parent {
                             // The owner alone writes its d and σ —
                             // pull needs no CAS and no σ atomicAdd.
                             // Discovery is announced with one
@@ -672,12 +670,13 @@ pub fn process_root_observed<O: Observer>(
                         }
                     }
                 }
-                // Pass B — the bookkeeping launch that compacts
-                // F_next into `S` and accumulates σ. It replays the
-                // push kernel's discovery and accumulation order
-                // exactly, so σ (an order-sensitive f64 sum) and the
-                // stack layout stay bitwise identical to push mode;
-                // its memory traffic is folded into the level's price
+                // Discovery and σ accumulation in push order: the
+                // push kernel's functional body, so the stack layout
+                // and σ (an order-sensitive f64 sum) stay bitwise
+                // identical to push mode. It discovers exactly the
+                // unvisited vertices with a frontier parent, the ones
+                // the kernel above finds; the F_next→`S` compaction
+                // it stands for is folded into the level's price
                 // (`methods::cost::bottom_up_level`), not traced.
                 for qi in level_start..level_end {
                     let v = ws.s[qi];
@@ -685,15 +684,12 @@ pub fn process_root_observed<O: Observer>(
                     // its own level, so hoisting the read is exact.
                     let sv = ws.sigma[v as usize];
                     for &w in g.neighbors(v) {
+                        if ws.dist[w as usize] == INFINITY {
+                            ws.dist[w as usize] = depth + 1;
+                            ws.s.push(w);
+                            ws.f_next.set(w);
+                        }
                         if ws.dist[w as usize] == depth + 1 {
-                            if ws.sigma[w as usize] == 0.0 {
-                                // First touch enqueues w at exactly
-                                // the position push's winning CAS
-                                // would have (σ of a discovered but
-                                // untouched vertex is 0, and frontier
-                                // σ is always positive).
-                                ws.s.push(w);
-                            }
                             ws.sigma[w as usize] += sv;
                             updates += 1;
                         }

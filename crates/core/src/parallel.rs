@@ -684,16 +684,19 @@ pub fn run_roots_contributions<M: ShardableCostModel>(
                 // The engine deposits δ only at reached non-root
                 // stack vertices, so sweeping the stack both extracts
                 // every nonzero entry and restores the accumulator to
-                // pristine zero in O(reached).
-                let mut entries: Vec<(VertexId, f64)> = ws
-                    .stack()
-                    .iter()
-                    .filter_map(|&v| {
-                        let d = acc[v as usize];
-                        acc[v as usize] = 0.0;
-                        (d != 0.0).then_some((v, d))
-                    })
-                    .collect();
+                // pristine zero in O(reached). Counting first sizes
+                // the vector exactly: the serving cache keeps it for
+                // as long as the root stays valid, so the slack a
+                // growing vector leaves would be retained memory.
+                let stack = ws.stack();
+                let nonzero = stack.iter().filter(|&&v| acc[v as usize] != 0.0).count();
+                let mut entries = Vec::with_capacity(nonzero);
+                for &v in stack {
+                    let d = std::mem::take(&mut acc[v as usize]);
+                    if d != 0.0 {
+                        entries.push((v, d));
+                    }
+                }
                 entries.sort_unstable_by_key(|&(v, _)| v);
                 contribs.push(RootContribution {
                     root: r,
@@ -1075,6 +1078,23 @@ mod tests {
             assert!(c.entries.iter().all(|&(_, d)| d != 0.0));
             assert!(c.heap_bytes() > 0);
         }
+    }
+
+    #[test]
+    fn contribution_entries_are_allocated_exactly() {
+        // Serve keeps these vectors in its cache for as long as the
+        // root stays valid, so any slack capacity is retained memory.
+        let g = gen::watts_strogatz(300, 6, 0.1, 5);
+        let roots: Vec<u32> = (0..300).collect();
+        let contribs =
+            run_roots_contributions(&g, &titan(), &roots, 2, Schedule::Static, &mut FreeModel)
+                .unwrap();
+        for c in &contribs {
+            assert_eq!(c.entries.capacity(), c.entries.len(), "root {}", c.root);
+        }
+        // Lengths off the doubling sequence, where a vector grown by
+        // reallocation would show its slack.
+        assert!(contribs.iter().any(|c| !c.entries.len().is_power_of_two()));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! *steps* as its longest lane needs, idle lanes masked off. The
 //! divergence penalty of the paper's Figure 2 (threads with unequal
 //! edge counts) is exactly the gap between `sum(trips)/32` and the
-//! warp-step counts computed here.
+//! warp-step counts computed here. Every priced level calls into this
+//! module, so none of its functions allocates.
 
 /// Warp steps for work items assigned **round-robin** to `threads`
 /// lanes (item `i` goes to lane `i % threads`), where item `i` costs
@@ -13,20 +14,29 @@
 ///
 /// This is the work-efficient kernel's distribution: queue entries
 /// dealt to threads in order, each thread walking its vertices'
-/// adjacency lists.
+/// adjacency lists. Each lane's total is a stride-`threads` walk over
+/// `trips`, so the per-item work has no division and the call
+/// allocates nothing.
 pub fn round_robin_warp_steps(trips: &[u32], threads: u32, warp_size: u32) -> u64 {
     assert!(threads > 0 && warp_size > 0 && threads % warp_size == 0);
-    if trips.is_empty() {
-        return 0;
-    }
-    let active_lanes = (trips.len() as u32).min(threads) as usize;
-    let mut lane_totals = vec![0u64; active_lanes];
-    for (i, &t) in trips.iter().enumerate() {
-        lane_totals[i % threads as usize % active_lanes.max(1)] += t as u64;
-    }
-    lane_totals
-        .chunks(warp_size as usize)
-        .map(|w| w.iter().copied().max().unwrap_or(0))
+    let (threads, warp_size) = (threads as usize, warp_size as usize);
+    // Lanes at or past `trips.len()` hold no item and cannot raise a
+    // warp's maximum.
+    let lanes = trips.len().min(threads);
+    (0..lanes)
+        .step_by(warp_size)
+        .map(|first| {
+            (first..(first + warp_size).min(lanes))
+                .map(|lane| {
+                    trips[lane..]
+                        .iter()
+                        .step_by(threads)
+                        .map(|&t| u64::from(t))
+                        .sum::<u64>()
+                })
+                .max()
+                .unwrap_or(0)
+        })
         .sum()
 }
 
@@ -144,6 +154,50 @@ mod tests {
         let eff = divergence_efficiency(&skewed, 256, 32);
         assert!(eff < 0.2, "skewed work should be inefficient, got {eff}");
         assert!(eff > 0.0);
+    }
+
+    /// The original formula: lane totals in a heap vector, two
+    /// remainders per item. Kept as the oracle for the stride walk.
+    fn round_robin_oracle(trips: &[u32], threads: u32, warp_size: u32) -> u64 {
+        if trips.is_empty() {
+            return 0;
+        }
+        let active_lanes = (trips.len() as u32).min(threads) as usize;
+        let mut lane_totals = vec![0u64; active_lanes];
+        for (i, &t) in trips.iter().enumerate() {
+            lane_totals[i % threads as usize % active_lanes.max(1)] += t as u64;
+        }
+        lane_totals
+            .chunks(warp_size as usize)
+            .map(|w| w.iter().copied().max().unwrap_or(0))
+            .sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn round_robin_matches_the_oracle(
+            pool in proptest::collection::vec(0u32..1000, 5120..5121),
+            k in 1usize..4,
+            r_sel in 0usize..1_000_000,
+        ) {
+            for threads in [32usize, 256, 1024] {
+                let r = 1 + r_sel % (threads - 1);
+                // Empty, a partial round, whole rounds, and whole
+                // rounds plus a partial one.
+                for len in [0, r, k * threads, k * threads + r] {
+                    let trips = &pool[..len];
+                    proptest::prop_assert_eq!(
+                        round_robin_warp_steps(trips, threads as u32, 32),
+                        round_robin_oracle(trips, threads as u32, 32),
+                        "threads {} len {}",
+                        threads,
+                        len
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! traced `Q_next` writes (each won CAS enqueues exactly once), and
 //! `updates` = traced σ `atomicAdd`s. Per pull level:
 //! `edges_inspected` = traced frontier-bitmap probes, `q_next` =
-//! traced `F_next` `atomicOr`s, and no CAS at all. Priced atomics and
+//! traced `F_next` `atomicOr`s, `updates` = traced σ parent reads, and
+//! no CAS at all. The pull identities tie two separate engine loops
+//! together: the traced per-edge scan and the push-order pass that
+//! discovers and accumulates σ. Priced atomics and
 //! backward atomic-freedom are checked beside it by
 //! [`crate::replay::verify_root_with`].
 //!
@@ -71,8 +74,10 @@ pub(crate) fn check_level(traced: &LevelTrace, m: &LevelMetrics, violations: &mu
         (MetricPhase::Forward, MetricTraversal::Pull) => {
             let probes = count(&traced.events, KernelArray::FrontierBits, AccessKind::Read);
             let discovered = count(&traced.events, KernelArray::NextBits, AccessKind::AtomicOr);
+            let parents = count(&traced.events, KernelArray::Sigma, AccessKind::Read);
             expect("metrics.edges_inspected", m.edges_inspected, probes);
             expect("metrics.q_next", m.q_next, discovered);
+            expect("metrics.updates", m.updates, parents);
             expect("metrics.cas_attempts", m.cas_attempts, 0);
             expect("metrics.cas_wins", m.cas_wins, 0);
         }

@@ -52,7 +52,10 @@ fn full_analysis_is_clean_at_quick_bounds() {
     assert!(report.explorations.iter().all(|e| e.result.is_ok()));
     // Conformance exercised every declared spec.
     assert!(report.conformance.unhit_specs.is_empty());
-    assert!(report.conformance.events > 0);
+    // The traced shape of the quick configuration, pinned: an engine
+    // change that alters what any kernel traces moves these counts.
+    let c = &report.conformance;
+    assert_eq!((c.runs, c.levels, c.events), (6, 432, 22_149_843));
 }
 
 #[test]
