@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification, the lint gate, the bc-verify suite, the quick
-# sweep compared with its committed rows, the CLI smoke runs, and the
-# benchmark's quick-mode tests.
+# Tier-1 verification, the lint gate, the bc-verify suite (seeded
+# bugs and static analysis included), the quick sweep compared with
+# its committed rows, the CLI smoke runs, and the benchmark's
+# quick-mode tests.
 #
 #   ./ci.sh        # build + tests + lint + verify suite + sweep + smokes
 #   ./ci.sh fast   # build + tests only
@@ -26,24 +27,17 @@ if [[ "${1:-}" != "fast" ]]; then
     echo "==> cargo doc -D warnings"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-    # Static-analysis gate: the kernel-IR race prover (backward sweep
-    # and pull discovery race-free for ALL inputs, minimal atomic sets
-    # = declared = priced), the exhaustive scheduler-interleaving
-    # explorer at the full 4x6 bound, and the spec-vs-trace
-    # conformance replay over all ten dataset analogues.
-    echo "==> bc-analyze gate"
-    cargo run -q -p bc-analyze --release --bin bc-analyze
-    # The analyzer's own regression suite: every seeded bug
-    # (predecessor-style accumulation, CAS-less dedup, level
-    # off-by-one, torn steal, completion-order merge) must be flagged.
-    echo "==> bc-analyze mutation battery"
-    cargo run -q -p bc-analyze --release --bin bc-analyze -- --mutation-battery --quick
-
-    # Race detector + invariant suite: seeded-bug self-test, the ten
-    # dataset analogues (one observed replay per root and model checks
-    # races, invariants, priced atomics, and every level counter
-    # against the trace), the exact-score identities, and the later
-    # stages. Each stage prints its wall time.
+    # The verification suite: every entry of the one seeded-bug list
+    # flagged by its check (kernel-spec and scheduler mutants, the
+    # checkpoint store's tamper cases, serve's stale cache, the planted
+    # plain traces), the ten dataset analogues (one observed replay
+    # per root and model checks races, invariants, priced atomics, and
+    # every level counter against the trace), the exact-score
+    # identities, the five equivalence transforms, and the static
+    # analysis (the kernel-IR race prover with its minimal-atomic-set
+    # audit, the scheduler-interleaving explorer at the full 4x6 bound,
+    # and spec-vs-trace conformance over all ten analogues). Each stage
+    # prints its wall time.
     echo "==> bc-verify suite"
     cargo run -q -p bc-verify --release --bin bc-verify
     # Extension sweeps at quick scale, compared with the committed

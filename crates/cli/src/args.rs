@@ -88,10 +88,6 @@ pub struct Cli {
     /// Run the bc-verify checks (CSR invariants, traced replay of a
     /// few roots, score sanity) on this run.
     pub verify: bool,
-    /// Run the bc-analyze smoke pass (kernel-IR race proofs, a quick
-    /// exhaustive scheduler-interleaving exploration, spec-vs-trace
-    /// conformance) before the run.
-    pub analyze: bool,
     /// Print the top-K vertices.
     pub top: usize,
     /// Write all scores to this path.
@@ -207,11 +203,6 @@ VERIFICATION:
     --verify           run the bc-verify layer on this run: CSR
                        invariants, race-checked traced replay of a few
                        roots, and final-score sanity (exit 1 on failure)
-    --analyze          run the bc-analyze smoke pass first: kernel-IR
-                       race proofs with atomic-set audit, a quick
-                       exhaustive scheduler-interleaving exploration,
-                       and spec-vs-trace conformance (exit 1 on failure;
-                       the full gate is the standalone bc-analyze binary)
 
 OUTPUT:
     --top K            print the K most central vertices  [default: 10]
@@ -252,7 +243,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         serve_window: 1e-3,
         serve_edits: 0,
         verify: false,
-        analyze: false,
         top: 10,
         out: None,
         json: false,
@@ -347,7 +337,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--normalize" => cli.normalize = true,
             "--verify" => cli.verify = true,
-            "--analyze" => cli.analyze = true,
             "--top" => cli.top = value()?.parse().map_err(|e| format!("--top: {e}"))?,
             "--out" => cli.out = Some(value()?),
             "--json" => cli.json = true,
@@ -446,10 +435,10 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                     .to_owned(),
             );
         }
-        if cli.verify || cli.analyze {
+        if cli.verify {
             return Err(
-                "--serve has its own battery (bc-verify stage 8); --verify/--analyze \
-                 apply to offline runs"
+                "--serve has its own battery (bc-verify stage 8); --verify applies \
+                 to offline runs"
                     .to_owned(),
             );
         }
@@ -519,7 +508,6 @@ mod tests {
         assert_eq!(cli.threads, 4);
         assert_eq!(cli.traversal, TraversalMode::Auto);
         assert!(cli.normalize && cli.json && cli.verify);
-        assert!(!cli.analyze);
         assert_eq!(cli.top, 5);
         assert_eq!(cli.out.as_deref(), Some("scores.txt"));
     }
@@ -790,15 +778,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.faults.kill_fraction, Some(0.5));
-    }
-
-    #[test]
-    fn analyze_flag_parses() {
-        let cli = parse(&s(&["--dataset", "smallworld", "--analyze"])).unwrap();
-        assert!(cli.analyze);
-        // --analyze composes with --verify: static then dynamic checks.
-        let cli = parse(&s(&["--dataset", "smallworld", "--analyze", "--verify"])).unwrap();
-        assert!(cli.analyze && cli.verify);
     }
 
     #[test]

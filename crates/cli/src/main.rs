@@ -60,9 +60,6 @@ fn load_graph(cli: &Cli) -> Result<Csr, String> {
 }
 
 fn run(cli: &Cli) -> Result<(), String> {
-    if cli.analyze {
-        analyze_run()?;
-    }
     let t0 = Instant::now();
     let loaded = load_graph(cli)?;
     eprintln!(
@@ -478,24 +475,6 @@ fn write_metrics(path: &str, jsonl: &str) -> Result<(), String> {
     let mut w = BufWriter::new(File::create(path).map_err(|e| format!("create {path}: {e}"))?);
     w.write_all(jsonl.as_bytes()).map_err(|e| e.to_string())?;
     w.flush().map_err(|e| e.to_string())
-}
-
-/// `--analyze`: run the bc-analyze smoke pass — the kernel-IR race
-/// prover with its atomic-set audit, the scheduler-interleaving
-/// explorer at the quick bound, and a two-dataset spec-vs-trace
-/// conformance replay. Input-independent (the proofs quantify over
-/// all graphs), so it runs before the graph is even loaded; the full
-/// gate (4×6 explorer bound, all ten analogues) is the standalone
-/// `bc-analyze` binary.
-fn analyze_run() -> Result<(), String> {
-    let t = Instant::now();
-    let report = bc_analyze::analyze(&bc_analyze::AnalyzeOptions::smoke());
-    eprint!("{}", report.render());
-    if !report.is_clean() {
-        return Err("static analysis found violations (see above)".into());
-    }
-    eprintln!("analyze: all passes clean in {:.2?}", t.elapsed());
-    Ok(())
 }
 
 /// Run the bc-verify layer against this invocation's graph and

@@ -16,7 +16,7 @@
 //! and one [`LevelMetrics`] record per kernel launch for the metrics
 //! layer. Every memory access the simulated kernels below emit must be
 //! admitted by the symbolic access specifications in
-//! [`crate::kernel_spec`]; `bc-analyze` replays recorded traces
+//! [`crate::kernel_spec`]; `bc_verify::conformance` replays recorded traces
 //! against those specs, so changes to the emission sites here must be
 //! mirrored there (the conformance gate fails otherwise).
 

@@ -10,7 +10,7 @@
 //! symbolic [`IndexExpr`] over the executing lane, and the BFS
 //! [`SegmentClass`] the touched cell is guaranteed to lie in.
 //!
-//! The specs are pure data. `bc-analyze` consumes them twice:
+//! The specs are pure data. bc-verify's static analysis consumes them twice:
 //!
 //! * its **prover** abstract-interprets the index expressions to show
 //!   that no plain write can collide with any other lane's access on
@@ -107,7 +107,7 @@ pub enum LaneKind {
 ///
 /// This is the expression language of the IR: every index the engine
 /// emits is one of these shapes, and the prover's alias analysis is a
-/// pairwise decision procedure over them (see `bc-analyze`).
+/// pairwise decision procedure over them (see `bc_verify::prover`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IndexExpr {
     /// `segment_start + lane` — the lane's own queue/stack slot.
@@ -244,7 +244,7 @@ use IndexExpr::{
 use SegmentClass::{Any, Current, Next};
 
 /// The spec of one kernel — the IR the engine's emission sites are
-/// held to (`bc-analyze`'s conformance pass) and proved safe from
+/// held to (`bc_verify::conformance`) and proved safe from
 /// (its prover).
 pub fn kernel_spec(id: KernelId) -> KernelSpec {
     let (lane, accesses) = match id {
@@ -386,7 +386,7 @@ impl std::fmt::Display for LaunchId {
 /// The atomic set the cost models price for one kernel
 /// (`bc_core::methods::cost`): the dedup CAS and queue-tail add, the
 /// σ atomicAdd, the pull discovery's atomicOr — and, pointedly,
-/// **nothing** for the backward sweep. `bc-analyze` requires its
+/// **nothing** for the backward sweep. `bc_verify::prover` requires its
 /// independently derived minimal atomic set to equal this, so the
 /// prover, the specs, and the pricing can never drift apart.
 pub fn priced_atomics(id: KernelId) -> Vec<(KernelArray, AccessKind)> {

@@ -111,7 +111,7 @@ fn least_loaded(loads: &[f64]) -> usize {
 /// pure function of the inputs), or plain index order when no costs
 /// are given.
 ///
-/// Public so the `bc-analyze` scheduler model seeds its abstract
+/// Public so the `bc_verify::model` scheduler model seeds its abstract
 /// queues with the *same* order the runner uses.
 pub fn lpt_order(shards: usize, costs: Option<&[f64]>) -> Vec<u32> {
     let mut order: Vec<u32> = (0..shards as u32).collect();
@@ -125,7 +125,7 @@ pub fn lpt_order(shards: usize, costs: Option<&[f64]>) -> Vec<u32> {
 /// The guided schedule's chunk size: claim `remaining / (2·workers)`
 /// shards, minimum 1, from the shared cursor. Factored out so the
 /// runner (`ShardQueue::claim`), the cluster planner
-/// ([`plan_assignment`]), and the `bc-analyze` interleaving model all
+/// ([`plan_assignment`]), and the `bc_verify::model` interleaving model all
 /// compute the identical geometric shrink.
 pub fn guided_chunk(remaining: usize, workers: usize) -> usize {
     (remaining / (2 * workers.max(1))).max(1)

@@ -55,7 +55,7 @@ pub enum KernelArray {
 
 impl KernelArray {
     /// Every kernel array, in declaration order — spec-coverage
-    /// checks (`bc-analyze`) iterate this to prove no array escapes
+    /// checks (`bc_verify::conformance`) iterate this to prove no array escapes
     /// the static access specifications.
     pub const ALL: [KernelArray; 11] = [
         KernelArray::Dist,

@@ -55,7 +55,7 @@ pub enum ServeMutation {
     /// Apply edge edits to the resident graph **without** bumping the
     /// epoch or invalidating the cache — the classic stale-cache bug.
     /// Served scores silently diverge from the edited graph; the
-    /// stage-8 battery must flag this.
+    /// seeded-bug list (`bc_verify::mutants`) must flag this.
     SkipEpochBump,
 }
 

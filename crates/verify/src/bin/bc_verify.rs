@@ -1,13 +1,16 @@
 //! `bc-verify` — the full verification suite.
 //!
 //! Stages:
-//! 1. **Seeded-bug self-test** — the race detector must flag the
-//!    deliberately broken atomic-free predecessor-style accumulation
-//!    *and* the bottom-up pull kernel whose `F_next` announcement
-//!    drops its word-granular `atomicOr`, and must pass the atomic
-//!    variants plus the engine's real kernels on the same graphs. A
-//!    detector that cannot find a planted race proves nothing by
-//!    staying silent.
+//! 1. **Seeded bugs** — every entry of the one list
+//!    (`bc_verify::mutants`) must be flagged by the check it names, on
+//!    each of its inputs: the prover's three kernel-spec mutants, the
+//!    explorer's two scheduler mutants at the quick bound, the
+//!    checkpoint store's corrupt, mismatch and stale cases, serve's
+//!    `SkipEpochBump` on every dataset analogue, and the race
+//!    detector's two planted plain traces. A check that cannot find a
+//!    planted bug proves nothing by staying silent. As controls, the
+//!    atomic variants of the planted traces and the engine's real
+//!    kernels must pass on the same graphs.
 //! 2. **Dataset sweep** — every Table II analogue: CSR
 //!    well-formedness, then one observed replay of each of several
 //!    roots under both the push model and the direction-optimizing
@@ -41,15 +44,18 @@
 //! 7. **Kill-and-resume** — the durable cluster runner killed at
 //!    early/mid/late points under every schedule × traversal (a
 //!    recoverable fault overlay layered on) and resumed from its
-//!    checkpoint; the corrupt, mismatch and stale checkpoint mutants
-//!    must be rejected; the degradation ladder's partition rung runs
-//!    as a transform case and its sampled rung as a plain check.
+//!    checkpoint; the degradation ladder's partition rung runs as a
+//!    transform case and its sampled rung as a plain check.
 //! 8. **Serve with edits** — seeded query streams with interleaved
 //!    edge edits through the batched, epoch-cached `bc-serve` layer,
 //!    against cold recomputes on the shadow-edited graph, across 3
 //!    schedules × push/pull/auto × 1/2/4 threads on every dataset
-//!    analogue; the `SkipEpochBump` stale-cache mutant must be flagged
-//!    on each.
+//!    analogue.
+//! 9. **Static analysis** — the kernel-IR prover (every launch
+//!    race-free for all inputs; minimal atomics = declared = priced),
+//!    the scheduler interleaving explorer exhausted at the full 4×6
+//!    bound, and spec-vs-trace conformance on 2 roots of every dataset
+//!    analogue (seed 7, push and forced pull).
 //!
 //! Each stage prints its wall time after its results. Exit status is
 //! non-zero if any stage fails.
@@ -59,11 +65,14 @@
 use bc_core::engine::{process_root, FreeModel, SearchWorkspace};
 use bc_core::{DirectionOptimizingModel, Schedule, TraversalMode};
 use bc_gpusim::DeviceConfig;
-use bc_graph::{gen, Csr, DatasetId};
-use bc_verify::trace::{predecessor_accumulation_trace, pull_bitmap_trace, Trace};
+use bc_graph::{gen, DatasetId};
+use bc_verify::conformance::ConformanceOptions;
+use bc_verify::model::ModelConfig;
+use bc_verify::mutants::{self, Plant};
+use bc_verify::trace::record;
 use bc_verify::{
-    check, check_csr, check_mutants, check_pair_sum, check_scores, check_trace, matrix,
-    verify_root, verify_root_with, Axis, Faults, Mutant, Relabel, Transform, Violation,
+    analyze, check, check_csr, check_pair_sum, check_scores, check_trace, matrix, verify_root,
+    verify_root_with, Axis, Faults, Relabel, Transform, Violation,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -124,46 +133,45 @@ where
     given.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
-/// Stage 1: the planted races. The atomic-free predecessor-style
-/// accumulation and the bottom-up pull kernel whose `F_next`
-/// announcement drops its word-granular `atomicOr` must be flagged;
-/// their atomic variants and the engine's real kernels must pass.
+/// Stage 1: every seeded bug of the one list must be flagged by its
+/// check on each of its inputs; the atomic variants of the planted
+/// traces and the engine's real kernels must pass on the same graphs.
 /// Returns the number of failures.
-fn seeded_bug_self_test(device: &DeviceConfig) -> usize {
+fn seeded_bugs(opts: &Options, device: &DeviceConfig) -> usize {
     let mut failures = 0;
-    for (name, g) in [
-        ("grid(8,8)", gen::grid(8, 8)),
-        ("erdos_renyi(200,600)", gen::erdos_renyi(200, 600, 9)),
-        ("watts_strogatz(150,6)", gen::watts_strogatz(150, 6, 0.1, 4)),
-    ] {
-        let mut ws = SearchWorkspace::new(g.num_vertices());
-        let mut bc = vec![0.0; g.num_vertices()];
-        process_root(&g, 0, device, &mut ws, &mut FreeModel, &mut bc);
-        type Synth = fn(&Csr, &SearchWorkspace, bool) -> Trace;
-        let kernels: [(&str, Synth); 2] = [
-            ("predecessor accumulation", predecessor_accumulation_trace),
-            ("F_next bitmap announcement", pull_bitmap_trace),
-        ];
-        for ((kernel, synth), atomic) in kernels.into_iter().flat_map(|k| [(k, false), (k, true)]) {
-            let races = check_trace(&synth(&g, &ws, atomic));
-            let what = format!("{} {kernel}", if atomic { "atomic" } else { "plain" });
-            match (races.first(), atomic) {
-                (None, false) => println!("FAIL seeded-bug {name}: {what} NOT flagged"),
-                (Some(r), true) => println!("FAIL seeded-bug {name}: {what} wrongly flagged: {r}"),
-                (Some(r), false) => {
-                    let n = races.len();
-                    println!("ok   seeded-bug {name}: {what} flagged ({n} racy cells, e.g. {r})");
-                    continue;
-                }
-                (None, true) => continue,
+    for m in &mutants::ALL {
+        for run in m.run(opts.reduction, opts.seed) {
+            let (name, input, check) = (m.name, &run.input, m.flagged_by);
+            if m.flag(&run).is_some() {
+                println!("ok   seeded {name} [{input}]: flagged by {check}");
+            } else {
+                println!(
+                    "FAIL seeded {name} [{input}]: escaped {check}; reported {:?}",
+                    run.found
+                );
+                failures += 1;
             }
-            failures += 1;
+        }
+    }
+    for (name, g) in mutants::trace_graphs() {
+        let (_, ws) = record(&g, 0, device, FreeModel);
+        for m in &mutants::ALL {
+            let Plant::PlainTrace(synth) = m.plant else {
+                continue;
+            };
+            if let Some(r) = check_trace(&synth(&g, &ws, true)).first() {
+                println!(
+                    "FAIL control {name}: atomic variant of {} flagged: {r}",
+                    m.name
+                );
+                failures += 1;
+            }
         }
         let real = verify_root(&g, 0, device);
         if !real.is_clean() {
             let (races, violations) = (&real.races, &real.violations);
             println!(
-                "FAIL seeded-bug {name}: successor-based sweep not clean: {races:?} {violations:?}"
+                "FAIL control {name}: successor-based sweep not clean: {races:?} {violations:?}"
             );
             failures += 1;
         }
@@ -287,18 +295,6 @@ fn report_check<T: Transform>(
     })
 }
 
-/// Report a transform's mutant list at `at`.
-fn report_mutants<T: Transform>(
-    label: &str,
-    t: &T,
-    at: Axis,
-    mutants: &[Mutant<T::Case>],
-) -> usize {
-    let bad = check_mutants(t, at, mutants);
-    let names: Vec<&str> = mutants.iter().map(|m| m.name).collect();
-    report(label, &bad, || format!("{} flagged", names.join(", ")))
-}
-
 /// Stage 4: the fault transform on two graphs at widths 2 and 4,
 /// plus structured (non-panicking) failure for an unrecoverable plan.
 fn fault_tolerance_checks(seed: u64) -> usize {
@@ -395,10 +391,9 @@ fn relabel_equivalence_checks(seed: u64) -> usize {
 }
 
 /// Stage 7: the kill-and-resume transform at three kill points × 3
-/// schedules × 3 traversals under a recoverable fault overlay, the
-/// store's corrupt, mismatch and stale mutants, and both rungs of the
-/// degradation ladder (partition as a transform case, sampled as a
-/// plain check).
+/// schedules × 3 traversals under a recoverable fault overlay, and
+/// both rungs of the degradation ladder (partition as a transform
+/// case, sampled as a plain check).
 fn durability_checks(seed: u64) -> usize {
     use bc_cluster::{ClusterConfig, FaultPlan};
     use bc_core::Method;
@@ -411,9 +406,6 @@ fn durability_checks(seed: u64) -> usize {
     let t = Resume::new(&g, cfg(2), 24, bc_verify::recoverable_overlay(seed));
     let kills = bc_verify::kill_points();
     let mut failures = report_check("ckpt-equiv", &t, &matrix(&g, &[2]), &kills);
-    let t = Resume::new(&g, cfg(2), 12, FaultPlan::none());
-    let at = Axis { width: 2, ..AT };
-    failures += report_mutants("ckpt-mutants", &t, at, &bc_verify::store_mutants());
 
     let g = gen::kronecker(11, 8, 4);
     let t = Resume::new(&g, cfg(1), 16, FaultPlan::none());
@@ -430,27 +422,24 @@ fn durability_checks(seed: u64) -> usize {
 /// gets a seeded query stream with interleaved edge edits, served
 /// under 3 schedules × push/pull/auto × 1/2/4 threads; every answer
 /// must equal a cold recompute on the shadow-edited graph bitwise.
-/// The `SkipEpochBump` stale-cache mutant must be flagged on every
-/// dataset.
 fn serving_checks(opts: &Options) -> usize {
-    use bc_verify::{ServeEdits, SKIP_EPOCH_BUMP};
     let mut failures = 0;
     for id in DatasetId::ALL {
         let g = id.generate(opts.reduction, opts.seed);
-        let t = ServeEdits::new(&g, 6, 2, opts.seed);
+        let t = bc_verify::ServeEdits::new(&g, 6, 2, opts.seed);
         let label = format!("serve {}", id.name());
         failures += report_check(&label, &t, &matrix(&g, &[1, 2, 4]), &[("clean", None)]);
-        let label = format!("serve-mutant {}", id.name());
-        failures += match ServeEdits::stale_cache_probe(&g) {
-            Some(probe) => report_mutants(&label, &probe, AT, &[SKIP_EPOCH_BUMP]),
-            None => report(
-                &label,
-                &[Violation::new("serve.mutant_setup", "no edge to delete")],
-                String::new,
-            ),
-        };
     }
     failures
+}
+
+/// Stage 9: the static analysis, with the constants of the full gate:
+/// the explorer at 4×6, conformance on 2 roots of every analogue at
+/// seed 7.
+fn static_analysis() -> usize {
+    let report = analyze(&ModelConfig::full(), &ConformanceOptions::full(2, 7));
+    print!("{}", report.render());
+    usize::from(!report.is_clean())
 }
 
 /// Run one stage under its banner and print its wall time. Returns
@@ -477,7 +466,9 @@ fn main() -> ExitCode {
     let device = DeviceConfig::gtx_titan();
     let (reduction, seed) = (opts.reduction, opts.seed);
 
-    let mut failures = stage(1, "seeded-bug self-test", || seeded_bug_self_test(&device));
+    let mut failures = stage(1, "seeded bugs (one list) and controls", || {
+        seeded_bugs(&opts, &device)
+    });
     failures += stage(
         2,
         &format!("dataset sweep (reduction {reduction}, seed {seed})"),
@@ -504,6 +495,11 @@ fn main() -> ExitCode {
         8,
         &format!("serving equivalence (reduction {reduction}, seed {seed})"),
         || serving_checks(&opts),
+    );
+    failures += stage(
+        9,
+        "static analysis (prover, 4x6 explorer, conformance)",
+        static_analysis,
     );
 
     if failures == 0 {

@@ -12,12 +12,12 @@
 //! (a device too small for the CSR must stream it in slices, bitwise)
 //! and the store's tamper cases: a corrupted chunk, a mismatched
 //! options fingerprint and a chunk left by an earlier epoch must each
-//! be rejected with the matching [`CheckpointError`]
-//! ([`store_mutants`]). The ladder's sampled rung is not differential
+//! be rejected with the matching [`CheckpointError`] (listed in
+//! [`crate::mutants`]). The ladder's sampled rung is not differential
 //! and stays a plain check ([`check_sampled_rung`]).
 
 use crate::fault_equiv::{checksum_mismatch, Faults};
-use crate::harness::{vertex_keyed, Axis, Keyed, Mutant, Transform, Transformed};
+use crate::harness::{vertex_keyed, Axis, Keyed, Transform, Transformed};
 use crate::invariants::Violation;
 use bc_cluster::{
     run_cluster_durable, run_cluster_with_faults, ClusterConfig, ClusterError, ClusterReport,
@@ -61,25 +61,6 @@ pub enum ResumeCase {
     Mismatch,
     /// Restore a chunk file an earlier epoch wrote, then load it.
     Stale,
-}
-
-/// The store's tamper cases, each of which must be rejected with the
-/// matching error.
-pub fn store_mutants() -> [Mutant<ResumeCase>; 3] {
-    [
-        ("corrupt-chunk", ResumeCase::Corrupt, "ckpt.corrupt"),
-        (
-            "fingerprint-mismatch",
-            ResumeCase::Mismatch,
-            "ckpt.mismatch",
-        ),
-        ("stale-chunk", ResumeCase::Stale, "ckpt.stale"),
-    ]
-    .map(|(name, case, flagged_by)| Mutant {
-        name,
-        case,
-        flagged_by,
-    })
 }
 
 /// A scratch checkpoint directory, unique across concurrent verify
@@ -323,7 +304,7 @@ pub fn check_sampled_rung(g: &Csr, cfg: &ClusterConfig, roots: usize) -> Vec<Vio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{check, check_mutants, matrix, Key};
+    use crate::harness::{check, matrix, Key};
     use bc_core::Schedule;
     use bc_graph::gen;
 
@@ -354,8 +335,13 @@ mod tests {
     fn rejection_battery_passes_on_a_healthy_store() {
         let g = gen::watts_strogatz(150, 6, 0.1, 9);
         let t = Resume::new(&g, small_cfg(), 12, FaultPlan::none());
-        let v = check_mutants(&t, AT, &store_mutants());
-        assert!(v.is_empty(), "{v:?}");
+        for m in crate::mutants::ALL {
+            let crate::mutants::Plant::Store(case) = m.plant else {
+                continue;
+            };
+            let found = check(&t, &[AT], &[(m.name, case)]).violations;
+            assert!(found.iter().any(|v| v.check == m.flagged_by), "{found:?}");
+        }
     }
 
     #[test]

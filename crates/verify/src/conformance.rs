@@ -22,16 +22,16 @@
 //! a vertex's recorded depth is its depth at every instant after
 //! discovery.
 
-use bc_core::engine::{
-    process_root_observed, FreeModel, Phase, RootContext, RootOutcome, SearchWorkspace,
+use crate::trace::{record, LevelTrace};
+use bc_core::engine::{FreeModel, Phase, SearchWorkspace};
+use bc_core::kernel_spec::{
+    kernel_spec, AccessSpec, IndexExpr, KernelId, KernelSpec, LaunchId, SegmentClass,
 };
-use bc_core::kernel_spec::{kernel_spec, AccessSpec, IndexExpr, KernelId, LaunchId, SegmentClass};
 use bc_core::{DirectionOptimizingModel, TraversalMode};
 use bc_gpusim::trace::{AccessKind, KernelArray, TraceEvent};
 use bc_gpusim::DeviceConfig;
 use bc_graph::{Csr, DatasetId};
 use bc_metrics::MetricTraversal;
-use bc_verify::trace::{LevelTrace, RecordingSink};
 
 /// What to record and replay.
 #[derive(Clone, Debug)]
@@ -144,7 +144,34 @@ struct LevelCtx<'a> {
     compact: bool,
 }
 
-impl LevelCtx<'_> {
+impl<'a> LevelCtx<'a> {
+    /// The context of the `launch` at `depth` over the finished search
+    /// state in `ws`.
+    fn new(
+        g: &'a Csr,
+        ws: &'a SearchWorkspace,
+        launch: LaunchId,
+        depth: u32,
+        compact: bool,
+    ) -> Self {
+        let (s, ends) = (ws.stack(), ws.ends());
+        let segment = |d: usize| -> std::ops::Range<usize> {
+            let lo = ends.get(d).map_or(s.len(), |&e| e as usize);
+            let hi = ends.get(d + 1).map_or(s.len(), |&e| e as usize);
+            lo..hi
+        };
+        LevelCtx {
+            g,
+            dist: ws.dist(),
+            s,
+            launch,
+            depth,
+            seg: segment(depth as usize),
+            next_seg: segment(depth as usize + 1),
+            compact,
+        }
+    }
+
     /// Does `v/32 == word` for some neighbor of `own`? Adjacency is
     /// sorted, so the word's vertex range is one binary search.
     fn neighbor_in_word(&self, own: u32, word: u32) -> bool {
@@ -261,14 +288,19 @@ fn check_level(
     report: &mut ConformanceReport,
     where_: &str,
 ) {
-    let kernels = ctx.launch.kernels();
+    let specs: Vec<KernelSpec> = ctx
+        .launch
+        .kernels()
+        .iter()
+        .map(|&k| kernel_spec(k))
+        .collect();
     for ev in &level.events {
         report.events += 1;
         let mut admitted = false;
-        for &k in kernels {
-            for a in &kernel_spec(k).accesses {
-                if a.array == ev.array && a.kind == ev.kind && ctx.admits(k, a, ev) {
-                    hits.hit(k, a);
+        for spec in &specs {
+            for a in &spec.accesses {
+                if a.array == ev.array && a.kind == ev.kind && ctx.admits(spec.id, a, ev) {
+                    hits.hit(spec.id, a);
                     admitted = true;
                 }
             }
@@ -419,42 +451,21 @@ fn check_root(
     where_: &str,
 ) {
     let device = DeviceConfig::gtx_titan();
-    let mut ws = SearchWorkspace::new(g.num_vertices());
-    let mut bc = vec![0.0; g.num_vertices()];
-    let mut out = RootOutcome::default();
-    let mut sink = RecordingSink::default();
-    let ctx = RootContext {
-        g,
-        root,
-        device: &device,
+    let (trace, ws) = match mode {
+        TraversalMode::Push => record(g, root, &device, FreeModel),
+        _ => record(g, root, &device, DirectionOptimizingModel::new(mode)),
     };
-    match mode {
-        TraversalMode::Push => {
-            process_root_observed(&ctx, &mut ws, &mut FreeModel, &mut bc, &mut out, &mut sink);
-        }
-        _ => {
-            let mut model = DirectionOptimizingModel::new(mode);
-            process_root_observed(&ctx, &mut ws, &mut model, &mut bc, &mut out, &mut sink);
-        }
-    }
     report.runs += 1;
 
-    let (s, ends, dist) = (ws.stack(), ws.ends(), ws.dist());
-    let segment = |d: usize| -> std::ops::Range<usize> {
-        let lo = ends.get(d).map_or(s.len(), |&e| e as usize);
-        let hi = ends.get(d + 1).map_or(s.len(), |&e| e as usize);
-        lo..hi
-    };
     let mut prev_pull = false;
-    for level in &sink.trace.levels {
-        let d = level.depth as usize;
+    for level in &trace.levels {
         let mut compact = false;
         let launch = match level.phase {
             Phase::Backward => LaunchId::Backward,
             Phase::Forward => {
-                let record = level.metrics.as_ref();
-                let record = record.expect("the engine records every launch");
-                let pull = record.traversal == MetricTraversal::Pull;
+                let metrics = level.metrics.as_ref();
+                let metrics = metrics.expect("the engine records every launch");
+                let pull = metrics.traversal == MetricTraversal::Pull;
                 // The engine rebuilds the compressed frontier exactly
                 // when the previous forward level was not pull (or
                 // there is no previous level).
@@ -467,16 +478,7 @@ fn check_root(
                 }
             }
         };
-        let ctx = LevelCtx {
-            g,
-            dist,
-            s,
-            launch,
-            depth: level.depth,
-            seg: segment(d),
-            next_seg: segment(d + 1),
-            compact,
-        };
+        let ctx = LevelCtx::new(g, &ws, launch, level.depth, compact);
         check_level(&ctx, level, hits, report, where_);
     }
 }
@@ -522,6 +524,7 @@ pub fn check_conformance(opts: &ConformanceOptions) -> ConformanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
     use bc_graph::gen;
 
     fn one_dataset(d: DatasetId) -> ConformanceOptions {
@@ -560,27 +563,10 @@ mod tests {
         // Inject an access no spec admits into a recorded level and
         // re-check: the checker must flag exactly that event.
         let g = gen::path(8);
-        let mut ws = SearchWorkspace::new(8);
-        let mut bc = vec![0.0; 8];
-        let mut out = RootOutcome::default();
-        let mut sink = RecordingSink::default();
-        let device = DeviceConfig::gtx_titan();
-        process_root_observed(
-            &RootContext {
-                g: &g,
-                root: 0,
-                device: &device,
-            },
-            &mut ws,
-            &mut FreeModel,
-            &mut bc,
-            &mut out,
-            &mut sink,
-        );
+        let (mut trace, ws) = record(&g, 0, &DeviceConfig::gtx_titan(), FreeModel);
         // A δ write into another lane's vertex during a backward level
         // — the predecessor-accumulation shape.
-        let level = sink
-            .trace
+        let level = trace
             .levels
             .iter_mut()
             .rev()
@@ -593,29 +579,53 @@ mod tests {
             kind: AccessKind::Write,
         };
         level.events.push(foreign);
-        let d = level.depth as usize;
-        let level = level.clone();
-        let (s, ends) = (ws.stack().to_vec(), ws.ends().to_vec());
-        let seg = |d: usize| {
-            let lo = ends.get(d).map_or(s.len(), |&e| e as usize);
-            let hi = ends.get(d + 1).map_or(s.len(), |&e| e as usize);
-            lo..hi
-        };
-        let ctx = LevelCtx {
-            g: &g,
-            dist: ws.dist(),
-            s: &s,
-            launch: LaunchId::Backward,
-            depth: level.depth,
-            seg: seg(d),
-            next_seg: seg(d + 1),
-            compact: false,
-        };
+        let ctx = LevelCtx::new(&g, &ws, LaunchId::Backward, level.depth, false);
         let mut report = ConformanceReport::default();
         let mut hits = HitTable::new();
-        check_level(&ctx, &level, &mut hits, &mut report, "seeded");
+        check_level(&ctx, level, &mut hits, &mut report, "seeded");
         // The foreign event is unadmitted AND breaks the δ-coverage
         // count.
         assert!(report.error_count >= 2, "{:?}", report.errors);
+    }
+
+    /// Check every level of a synthesized trace as a `launch` over the
+    /// search state it was synthesized from; returns the violation
+    /// count.
+    fn check_synthesized(g: &Csr, ws: &SearchWorkspace, trace: &Trace, launch: LaunchId) -> u64 {
+        let mut report = ConformanceReport::default();
+        let mut hits = HitTable::new();
+        for level in &trace.levels {
+            let ctx = LevelCtx::new(g, ws, launch, level.depth, false);
+            check_level(&ctx, level, &mut hits, &mut report, "planted");
+        }
+        report.error_count
+    }
+
+    #[test]
+    fn planted_plain_traces_are_rejected() {
+        // The race detector's two planted plain traces, checked against
+        // the IR instead: neither conforms. Their atomic variants split.
+        // The atomic pull announcement is the engine's own pull kernel
+        // and conforms; atomic predecessor-style accumulation (the
+        // edge-parallel methods' backward kernel) is not in the IR at
+        // all, so conformance rejects it whether or not it races. It
+        // tests membership in the IR, not race freedom: only the race
+        // detector checks that kernel.
+        use crate::trace::{predecessor_accumulation_trace, pull_bitmap_trace};
+        for g in [
+            gen::grid(8, 8),
+            gen::erdos_renyi(200, 600, 9),
+            gen::watts_strogatz(150, 6, 0.1, 4),
+        ] {
+            let (_, ws) = record(&g, 0, &DeviceConfig::gtx_titan(), FreeModel);
+            let errors = |synth: crate::mutants::Synth, launch, atomic| {
+                check_synthesized(&g, &ws, &synth(&g, &ws, atomic), launch)
+            };
+            let pred = predecessor_accumulation_trace;
+            assert!(errors(pred, LaunchId::Backward, false) > 0);
+            assert!(errors(pull_bitmap_trace, LaunchId::ForwardPull, false) > 0);
+            assert!(errors(pred, LaunchId::Backward, true) > 0);
+            assert_eq!(errors(pull_bitmap_trace, LaunchId::ForwardPull, true), 0);
+        }
     }
 }

@@ -18,8 +18,8 @@
 //! Seeded defects ride on the same path. [`check`] flips one ULP of
 //! the first transformed output that matched its baseline and requires
 //! the oracle to report exactly that key, one ULP apart; and a
-//! [`Mutant`] is a case the harness must flag with a named check
-//! ([`check_mutants`]).
+//! transform's seeded bugs ([`crate::mutants`]) are cases the harness
+//! must flag with a named check.
 
 use crate::invariants::{check_scores, Violation};
 use bc_core::{BcOptions, Schedule, TraversalMode};
@@ -319,35 +319,6 @@ fn flip_one_ulp(reference: &Keyed, mut output: Keyed) -> Result<Divergence, Stri
         Some(d) if d.key == key && d.ulps == Some(1) && d.differing == 1 => Ok(d),
         other => Err(format!("one-ULP flip at {key} reported as {other:?}")),
     }
-}
-
-/// A seeded defect, expressed as a case of a transform, and the check
-/// that must flag it.
-#[derive(Clone, Debug)]
-pub struct Mutant<C> {
-    /// Name in reports.
-    pub name: &'static str,
-    /// The defective case.
-    pub case: C,
-    /// The check whose violation counts as catching it.
-    pub flagged_by: &'static str,
-}
-
-/// Run each mutant at `at`; return one violation per mutant the
-/// harness failed to flag.
-pub fn check_mutants<T: Transform>(t: &T, at: Axis, mutants: &[Mutant<T::Case>]) -> Vec<Violation> {
-    let escaped = mutants.iter().filter_map(|m| {
-        let found = check(t, &[at], &[(m.name, m.case.clone())]).violations;
-        let detail = format!(
-            "[{} {at}] {} escaped {}; reported {found:?}",
-            T::NAME,
-            m.name,
-            m.flagged_by
-        );
-        (!found.iter().any(|v| v.check == m.flagged_by))
-            .then(|| Violation::new("equiv.mutant_flagged", detail))
-    });
-    escaped.collect()
 }
 
 #[cfg(test)]

@@ -138,8 +138,8 @@ pub fn check_csr(g: &Csr) -> Vec<Violation> {
 
 /// Validate the search state a forward + backward pass left in `ws`
 /// for `root`: stack segmentation, frontier dedup, per-segment
-/// distances, σ-consistency over the shortest-path DAG, and the
-/// per-root dependency identity `Σ_v δ(v) = Σ_t (d(t) − 1)`.
+/// distances, finite σ, σ-consistency over the shortest-path DAG,
+/// and the per-root dependency identity `Σ_v δ(v) = Σ_t (d(t) − 1)`.
 pub fn check_search_state(g: &Csr, root: VertexId, ws: &SearchWorkspace) -> Vec<Violation> {
     let mut out = Vec::new();
     let n = g.num_vertices();
@@ -242,6 +242,15 @@ pub fn check_search_state(g: &Csr, root: VertexId, ws: &SearchWorkspace) -> Vec<
     }
 
     // --- sigma consistency over the shortest-path DAG ----------------------
+    // Path counts are f64: past f64::MAX a count overflows to infinity
+    // and every later ratio to NaN. Name the shallowest such vertex.
+    if let Some(&v) = s.iter().find(|&&v| !sigma[v as usize].is_finite()) {
+        let (x, d) = (sigma[v as usize], dist[v as usize]);
+        out.push(Violation::new(
+            "sigma.finite",
+            format!("sigma[{v}] = {x} at depth {d}: the path count overflowed f64"),
+        ));
+    }
     if sigma.get(root as usize) != Some(&1.0) {
         out.push(Violation::new(
             "sigma.root",

@@ -284,10 +284,8 @@ impl Transform for Schedules<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RecordingSink;
-    use bc_core::engine::{
-        process_root_observed, CostModel, RootContext, RootOutcome, SearchWorkspace,
-    };
+    use crate::trace::record;
+    use bc_core::engine::CostModel;
     use bc_core::methods::models::WorkEfficientModel;
     use bc_core::{DirectionOptimizingModel, Schedule, TraversalMode};
     use bc_gpusim::DeviceConfig;
@@ -296,29 +294,14 @@ mod tests {
     /// Record one observed search from root 0 under `model` and check
     /// every level record against the traced events of its launch.
     /// Returns the number of levels checked and the disagreements.
-    fn check_root<M: CostModel>(g: &Csr, mut model: M) -> (usize, Vec<Violation>) {
-        let device = DeviceConfig::gtx_titan();
-        let mut ws = SearchWorkspace::new(g.num_vertices());
-        let mut bc = vec![0.0; g.num_vertices()];
-        let mut sink = RecordingSink::default();
-        process_root_observed(
-            &RootContext {
-                g,
-                root: 0,
-                device: &device,
-            },
-            &mut ws,
-            &mut model,
-            &mut bc,
-            &mut RootOutcome::default(),
-            &mut sink,
-        );
+    fn check_root<M: CostModel>(g: &Csr, model: M) -> (usize, Vec<Violation>) {
+        let (trace, _) = record(g, 0, &DeviceConfig::gtx_titan(), model);
         let mut violations = Vec::new();
-        for traced in &sink.trace.levels {
+        for traced in &trace.levels {
             let m = traced.metrics.as_ref().expect("every launch is priced");
             check_level(traced, m, &mut violations);
         }
-        (sink.trace.levels.len(), violations)
+        (trace.levels.len(), violations)
     }
 
     #[test]

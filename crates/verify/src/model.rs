@@ -55,22 +55,6 @@ pub enum SchedulerMutant {
     CompletionOrderMerge,
 }
 
-impl SchedulerMutant {
-    /// Every scheduler mutant.
-    pub const ALL: [SchedulerMutant; 2] = [
-        SchedulerMutant::NonAtomicSteal,
-        SchedulerMutant::CompletionOrderMerge,
-    ];
-
-    /// Stable kebab-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMutant::NonAtomicSteal => "non-atomic-steal",
-            SchedulerMutant::CompletionOrderMerge => "completion-order-merge",
-        }
-    }
-}
-
 /// Exploration bound and cost shape.
 #[derive(Clone, Debug)]
 pub struct ModelConfig {
@@ -453,6 +437,33 @@ impl Explorer {
         }
         None
     }
+}
+
+/// Outcome of one scheduler exploration.
+#[derive(Clone, Debug)]
+pub struct ExplorationOutcome {
+    /// The schedule explored.
+    pub schedule: Schedule,
+    /// Whether the cost vector was skewed (vs unit).
+    pub skewed: bool,
+    /// `Ok` = exhausted clean; `Err` = violation or budget.
+    pub result: Result<Exploration, ModelError>,
+}
+
+/// Explore every schedule under `cfg` with unit and with skewed
+/// costs, optionally with a seeded mutant.
+pub fn explore_all(cfg: &ModelConfig, mutant: Option<SchedulerMutant>) -> Vec<ExplorationOutcome> {
+    let mut out = Vec::new();
+    for schedule in Schedule::ALL {
+        for cfg in [cfg.clone(), cfg.skewed()] {
+            out.push(ExplorationOutcome {
+                schedule,
+                skewed: cfg.costs.is_some(),
+                result: explore(schedule, &cfg, mutant),
+            });
+        }
+    }
+    out
 }
 
 /// Exhaustively explore every interleaving of `schedule` under `cfg`,

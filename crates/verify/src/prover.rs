@@ -1,13 +1,13 @@
 //! The access-pattern prover: input-independent race-freedom proofs
 //! over the symbolic kernel IR.
 //!
-//! Where the `bc-verify` race detector checks one *recorded* trace —
-//! a single graph, a single frontier — this pass abstract-interprets
-//! the [`bc_core::kernel_spec`] declarations and quantifies over
-//! **all** inputs: any CSR, any frontier, any level. The abstract
-//! domain is deliberately tiny — each access is a pair (symbolic
-//! [`IndexExpr`], [`SegmentClass`]) — and the interpreter is a
-//! pairwise may-alias decision procedure over that domain:
+//! Where the race detector ([`crate::race`]) checks one *recorded*
+//! trace — a single graph, a single frontier — this pass
+//! abstract-interprets the [`bc_core::kernel_spec`] declarations and
+//! quantifies over **all** inputs: any CSR, any frontier, any level.
+//! The abstract domain is deliberately tiny — each access is a pair
+//! (symbolic [`IndexExpr`], [`SegmentClass`]) — and the interpreter
+//! is a pairwise may-alias decision procedure over that domain:
 //!
 //! * accesses to different arrays never alias;
 //! * two lanes' instances of the same index expression are disjoint
@@ -34,6 +34,7 @@
 //! ([`bc_core::kernel_spec::priced_atomics`]) — any drift between
 //! proof, declaration, and pricing fails the gate.
 
+use crate::invariants::Violation;
 use bc_core::kernel_spec::{
     kernel_spec, priced_atomics, AccessSpec, Axiom, IndexExpr, KernelId, KernelSpec, LaneKind,
     LaunchId, SegmentClass,
@@ -185,6 +186,24 @@ impl ProverReport {
     /// declared, required, and priced atomic sets coincide.
     pub fn is_clean(&self) -> bool {
         self.launches.iter().all(|l| l.is_race_free()) && self.audits.iter().all(|a| a.agrees())
+    }
+
+    /// Every refutation: one `prover.race` per racy pair, one
+    /// `prover.atomics` per kernel whose atomic sets disagree.
+    pub fn violations(&self) -> Vec<Violation> {
+        let races = self.launches.iter().flat_map(|l| {
+            let race = move |r| Violation::new("prover.race", format!("{}: {r}", l.launch));
+            l.races.iter().map(race)
+        });
+        let drift = self.audits.iter().filter(|a| !a.agrees()).map(|a| {
+            let (declared, required) = (&a.declared, &a.required);
+            let detail = format!(
+                "{}: declared {declared:?} != required {required:?}",
+                a.kernel
+            );
+            Violation::new("prover.atomics", detail)
+        });
+        races.chain(drift).collect()
     }
 }
 

@@ -16,10 +16,8 @@
 use crate::invariants::{check_search_state, Violation};
 use crate::metrics_check::check_level;
 use crate::race::{check_trace, RaceReport};
-use crate::trace::RecordingSink;
-use bc_core::engine::{
-    process_root_observed, CostModel, Phase, RootContext, RootOutcome, SearchWorkspace,
-};
+use crate::trace::record;
+use bc_core::engine::{CostModel, Phase};
 use bc_core::methods::models::WorkEfficientModel;
 use bc_gpusim::DeviceConfig;
 use bc_graph::{Csr, VertexId};
@@ -65,21 +63,9 @@ pub fn verify_root_with<M: CostModel>(
     g: &Csr,
     root: VertexId,
     device: &DeviceConfig,
-    mut model: M,
+    model: M,
 ) -> RootVerification {
-    let mut ws = SearchWorkspace::new(g.num_vertices());
-    let mut bc = vec![0.0; g.num_vertices()];
-    let mut sink = RecordingSink::default();
-    process_root_observed(
-        &RootContext { g, root, device },
-        &mut ws,
-        &mut model,
-        &mut bc,
-        &mut RootOutcome::default(),
-        &mut sink,
-    );
-
-    let trace = sink.trace;
+    let (trace, ws) = record(g, root, device, model);
     let races = check_trace(&trace);
     let mut violations = check_search_state(g, root, &ws);
 
@@ -248,6 +234,30 @@ mod tests {
             "{:?}",
             v.violations
         );
+    }
+
+    /// A chain of `k` diamonds from vertex 0: each diamond doubles σ,
+    /// so the far end has σ = 2^k.
+    fn diamond_chain(k: u32) -> Csr {
+        let edges = (0..k).flat_map(|i| {
+            let (t, a, b) = (3 * i, 3 * i + 1, 3 * i + 2);
+            [(t, a), (t, b), (a, t + 3), (b, t + 3)]
+        });
+        Csr::from_undirected_edges(3 * k as usize + 1, edges)
+    }
+
+    #[test]
+    fn overflowed_sigma_is_named_by_the_invariants() {
+        let device = DeviceConfig::gtx_titan();
+        // σ = 2^1000 is finite: the search must verify clean.
+        let v = verify_root(&diamond_chain(1000), 0, &device);
+        assert!(v.is_clean(), "{:?} {:?}", v.races, v.violations);
+        // σ = 2^1100 overflows: 2^1024 at diamond 1024, depth 2048.
+        let v = verify_root(&diamond_chain(1100), 0, &device);
+        let finite = v.violations.iter().filter(|v| v.check == "sigma.finite");
+        let finite: Vec<_> = finite.collect();
+        assert_eq!(finite.len(), 1, "{:?}", v.violations);
+        assert!(finite[0].detail.contains("at depth 2048"), "{}", finite[0]);
     }
 
     #[test]

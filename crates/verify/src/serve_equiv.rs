@@ -12,8 +12,9 @@
 //! request id. Its exercised count is the server's cache hits: a
 //! stream that never hits the cache is not testing the cache.
 //!
-//! Its mutant is [`ServeMutation::SkipEpochBump`] (edits mutate the
-//! graph but neither bump the epoch nor invalidate the cache), run on
+//! Its seeded bug ([`crate::mutants`]) is
+//! [`ServeMutation::SkipEpochBump`] (edits mutate the graph but
+//! neither bump the epoch nor invalidate the cache), run on
 //! [`ServeEdits::stale_cache_probe`], a stream whose edit provably
 //! changes the re-queried scores: the harness must report a stale
 //! answer. [`check_serve_rows`] checks the rows a server emits.
@@ -28,7 +29,7 @@ use bc_serve::{
     ServeConfig, ServeMutation, SplitMix64,
 };
 
-use crate::harness::{Axis, Key, Keyed, Mutant, Transform, Transformed};
+use crate::harness::{Axis, Key, Keyed, Transform, Transformed};
 use crate::invariants::Violation;
 
 /// A deterministic serving workload for `g`: `queries` randomized
@@ -127,13 +128,6 @@ pub fn answers_keyed<'a>(answers: impl IntoIterator<Item = (u64, &'a Answer)>) -
     out.sort_by_key(|e| e.0);
     out
 }
-
-/// The stale-cache mutant: must be reported as a bitwise divergence.
-pub const SKIP_EPOCH_BUMP: Mutant<Option<ServeMutation>> = Mutant {
-    name: "skip-epoch-bump",
-    case: Some(ServeMutation::SkipEpochBump),
-    flagged_by: "equiv.bitwise",
-};
 
 /// One request stream on `g`, served with the axis setting schedule,
 /// traversal and threads, against cold references.
@@ -326,7 +320,7 @@ pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{check, check_mutants, diverge, matrix};
+    use crate::harness::{check, diverge, matrix};
     use bc_core::{Schedule, TraversalMode};
     use bc_graph::gen;
 
@@ -353,8 +347,13 @@ mod tests {
     fn mutant_is_flagged() {
         let g = gen::erdos_renyi(60, 200, 5);
         let t = ServeEdits::stale_cache_probe(&g).expect("graph has edges");
-        let bad = check_mutants(&t, AT, &[SKIP_EPOCH_BUMP]);
-        assert!(bad.is_empty(), "mutant escaped: {bad:?}");
+        for m in crate::mutants::ALL {
+            let crate::mutants::Plant::Serve(mutation) = m.plant else {
+                continue;
+            };
+            let found = check(&t, &[AT], &[(m.name, Some(mutation))]).violations;
+            assert!(found.iter().any(|v| v.check == m.flagged_by), "{found:?}");
+        }
     }
 
     #[test]

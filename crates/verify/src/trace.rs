@@ -1,10 +1,14 @@
 //! Replayable access traces: the recorder for the engine's events and
-//! level records, and the synthesized predecessor-style accumulation
+//! level records ([`record`] runs one root through it), and the
+//! synthesized predecessor-style accumulation and pull-announcement
 //! traces.
 
-use bc_core::engine::{Observer, Phase, SearchWorkspace};
+use bc_core::engine::{
+    process_root_observed, CostModel, Observer, Phase, RootContext, RootOutcome, SearchWorkspace,
+};
 use bc_gpusim::trace::{AccessKind, KernelArray, TraceEvent};
-use bc_graph::Csr;
+use bc_gpusim::DeviceConfig;
+use bc_graph::{Csr, VertexId};
 use bc_metrics::LevelMetrics;
 
 /// Every event of one simulated kernel launch (one BFS or
@@ -93,6 +97,28 @@ impl Observer for RecordingSink {
         );
         current.metrics = Some(level);
     }
+}
+
+/// Run one search from `root` under `model` with a fresh workspace,
+/// recording every launch; returns the trace and the finished search
+/// state.
+pub fn record<M: CostModel>(
+    g: &Csr,
+    root: VertexId,
+    device: &DeviceConfig,
+    mut model: M,
+) -> (Trace, SearchWorkspace) {
+    let mut ws = SearchWorkspace::new(g.num_vertices());
+    let mut sink = RecordingSink::default();
+    process_root_observed(
+        &RootContext { g, root, device },
+        &mut ws,
+        &mut model,
+        &mut vec![0.0; g.num_vertices()],
+        &mut RootOutcome::default(),
+        &mut sink,
+    );
+    (sink.trace, ws)
 }
 
 /// Synthesize the dependency-accumulation trace of a
@@ -235,29 +261,11 @@ pub fn pull_bitmap_trace(g: &Csr, ws: &SearchWorkspace, atomic: bool) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_core::engine::{process_root_observed, FreeModel, RootContext, RootOutcome};
-    use bc_gpusim::DeviceConfig;
+    use bc_core::engine::FreeModel;
     use bc_graph::gen;
 
     fn record(g: &Csr, root: u32) -> (Trace, SearchWorkspace) {
-        let mut ws = SearchWorkspace::new(g.num_vertices());
-        let mut bc = vec![0.0; g.num_vertices()];
-        let mut out = RootOutcome::default();
-        let mut sink = RecordingSink::default();
-        let device = DeviceConfig::gtx_titan();
-        process_root_observed(
-            &RootContext {
-                g,
-                root,
-                device: &device,
-            },
-            &mut ws,
-            &mut FreeModel,
-            &mut bc,
-            &mut out,
-            &mut sink,
-        );
-        (sink.trace, ws)
+        super::record(g, root, &DeviceConfig::gtx_titan(), FreeModel)
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! The static-analysis gate, exercised end to end: the real kernels
-//! and scheduler must pass all three passes, and every seeded mutant
-//! must be flagged. These are the PR's acceptance criteria as tests —
-//! quick bounds here; `ci.sh` runs the full 4×6 bound via the
-//! released `bc-analyze` binary.
+//! The static analysis, exercised end to end: the real kernels and
+//! scheduler must pass all three passes, and every entry of the one
+//! seeded-bug list must be flagged. Quick bounds here; the
+//! `bc-verify` binary runs the full 4×6 bound (stage 9) and the list
+//! on its full inputs (stage 1).
 
-use bc_analyze::model::{explore, ModelConfig, ModelError, SchedulerMutant, Violation};
-use bc_analyze::mutants::{Mutant, SpecMutant};
-use bc_analyze::prover::{prove, SpecSet};
-use bc_analyze::{analyze, analyze_with_mutant, mutation_battery, AnalyzeOptions};
 use bc_core::kernel_spec::{KernelId, LaunchId};
 use bc_core::Schedule;
+use bc_graph::DatasetId;
+use bc_verify::analyze;
+use bc_verify::conformance::ConformanceOptions;
+use bc_verify::model::{explore, ModelConfig, ModelError, SchedulerMutant, Violation};
+use bc_verify::mutants::{self, SpecMutant};
+use bc_verify::prover::{prove, SpecSet};
 
-fn quick() -> AnalyzeOptions {
-    AnalyzeOptions {
+/// Conformance on one root of the first three analogues.
+fn quick_conformance() -> ConformanceOptions {
+    ConformanceOptions {
+        datasets: DatasetId::ALL[..3].to_vec(),
         roots: 1,
-        quick: true,
-        datasets: Some(3),
-        ..AnalyzeOptions::default()
+        seed: 7,
     }
 }
 
 #[test]
 fn full_analysis_is_clean_at_quick_bounds() {
-    let report = analyze(&quick());
+    let report = analyze(&ModelConfig::quick(), &quick_conformance());
     assert!(report.is_clean(), "{}", report.render());
     // The paper's claims, as named facts of the report: the backward
     // sweep is race-free with an empty minimal atomic set, and the
@@ -60,14 +62,24 @@ fn full_analysis_is_clean_at_quick_bounds() {
 
 #[test]
 fn every_seeded_mutant_is_flagged() {
-    let opts = quick();
-    for m in Mutant::ALL {
-        let (flagged, evidence) = analyze_with_mutant(m, &opts);
-        assert!(flagged, "mutant {m} survived the analyzer");
-        assert!(!evidence.is_empty(), "mutant {m} flagged without evidence");
+    // The whole list, serve's probe on every analogue at the
+    // bc-verify defaults (reduction 8, seed 42).
+    for m in &mutants::ALL {
+        let runs = m.run(8, 42);
+        assert!(!runs.is_empty(), "mutant {} ran on no input", m.name);
+        for run in &runs {
+            let flag = m.flag(run);
+            let (name, input, found) = (m.name, &run.input, &run.found);
+            assert!(
+                flag.is_some(),
+                "mutant {name} survived on {input}: {found:?}"
+            );
+            assert!(
+                !flag.unwrap().detail.is_empty(),
+                "{name} flagged without evidence"
+            );
+        }
     }
-    let (all, lines) = mutation_battery(&opts);
-    assert!(all, "{lines}");
 }
 
 #[test]
