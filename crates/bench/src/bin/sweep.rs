@@ -1,19 +1,24 @@
-//! The extension sweeps: the experiments beyond the paper's evaluation
-//! (EXPERIMENTS.md E-trajectory through E-serve), one section each.
+//! The experiment sweeps, one section each: the paper's tables and
+//! figures (EXPERIMENTS.md E-tab1 through E-ablate), then the
+//! experiments beyond the paper's evaluation (E-trajectory through
+//! E-serve).
 //!
 //! ```text
 //! cargo run -p bc-bench --release --bin sweep -- [--quick] [SECTION ...]
 //! ```
 //!
-//! Sections: `trajectory`, `direction`, `faults`, `metrics`,
-//! `schedule`, `scale`, `durability`, `serve`. Each prints its tables;
-//! with no section named, every one runs and the rows are written to
-//! `results/BENCH_sweep.json` (`results/BENCH_sweep_quick.json` under
-//! `--quick`, the smaller CI scale) after the common header. A field
-//! whose value depends on the host run (wall clock, worker timing,
-//! steals) is named `host_*`; every other field is a function of the
-//! code and the seed alone, and `ci.sh` compares the quick file's
-//! lines bitwise.
+//! Sections: `table1`, `table2`, `table3`, `table4`, `fig2`, `fig3`,
+//! `fig4`, `fig5`, `fig6`, `ablations`, `trajectory`, `direction`,
+//! `faults`, `metrics`, `schedule`, `scale`, `durability`, `serve`.
+//! Each prints its tables; with no section named, every one runs and
+//! the rows are written to `results/BENCH_sweep.json`
+//! (`results/BENCH_sweep_quick.json` under `--quick`, the smaller CI
+//! scale) after the common header. The paper's published values sit
+//! beside the measured ones in `paper_*` fields. A field whose value
+//! depends on the host run (wall clock, worker timing, steals) is
+//! named `host_*`; every other field is a function of the code and
+//! the seed alone, and `ci.sh` compares the quick file's lines
+//! bitwise.
 //!
 //! The sweeps report; they do not re-check what the test suite and
 //! `bc-verify` already check (bitwise equality across threads,
@@ -25,19 +30,20 @@
 
 use bc_bench::{row, scaled_sampling, write_results, Header, Table, DEFAULT_SEED as SEED};
 use bc_cluster::{
-    run_cluster, run_cluster_durable, run_cluster_with_faults, ClusterConfig, ClusterError,
-    DurabilityOptions, FaultPlan,
+    run_cluster, run_cluster_durable, run_cluster_with_faults, strong_scaling, ClusterConfig,
+    ClusterError, DurabilityOptions, FaultPlan,
 };
-use bc_core::methods::cost::footprint;
+use bc_core::methods::cost::{footprint, PredecessorStorage, QueueAppend, WorkEfficientConfig};
 use bc_core::methods::models::WorkEfficientModel;
 use bc_core::{
-    run_roots_scheduled, run_roots_scheduled_metered, BcOptions, Degradation, HybridParams, Method,
-    PartitionMode, PartitionPlan, RootSelection, Schedule, TraversalMode,
+    frontier, run_roots_scheduled, run_roots_scheduled_metered, run_with_cost_model, teps,
+    BcOptions, Degradation, HybridParams, Method, PartitionMode, PartitionPlan, RootSelection,
+    SamplingParams, Schedule, TraversalMode,
 };
-use bc_gpusim::{distinct_line_transactions, DeviceConfig, SimError};
+use bc_gpusim::{coarse_grained_makespan, distinct_line_transactions, DeviceConfig, SimError};
 use bc_graph::relabel::{apply, Relabeling};
 use bc_graph::stats::{gather_lines, hub_adjacency_ranges};
-use bc_graph::{gen, Csr, CsrIndex, DatasetId};
+use bc_graph::{gen, Csr, CsrIndex, DatasetId, GraphStats};
 use bc_metrics::{ServeRow, WorkerMetrics};
 use bc_serve::{percentile, BcServer, ClosedLoop, Event, QueryMix, ServeConfig};
 use bc_verify::serve_stream;
@@ -45,7 +51,17 @@ use std::time::Instant;
 
 type Section = fn(bool) -> Vec<Table>;
 
-const SECTIONS: [(&str, Section); 8] = [
+const SECTIONS: [(&str, Section); 18] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("ablations", ablations),
     ("trajectory", trajectory),
     ("direction", direction),
     ("faults", faults),
@@ -91,6 +107,483 @@ fn main() {
         };
         write_results(stem, &Header::new(SEED, quick), &tables);
     }
+}
+
+/// Table I's and Fig. 3's graph classes.
+const FRONTIER_CLASSES: [DatasetId; 5] = [
+    DatasetId::RggN2_20,
+    DatasetId::DelaunayN20,
+    DatasetId::KronG500Logn20,
+    DatasetId::LuxembourgOsm,
+    DatasetId::Smallworld,
+];
+
+/// The paper's Table I and Fig. 3 roots {0, 2121, 6004}, mapped
+/// proportionally into the analogue's id range.
+fn paper_roots(d: DatasetId, g: &Csr) -> [u32; 3] {
+    let (n, paper_n) = (g.num_vertices() as u64, d.paper_row().vertices);
+    [0, 2121, 6004].map(|r: u64| ((r * n) / paper_n.max(1)).min(n.saturating_sub(1)) as u32)
+}
+
+/// Table I: correlation of the vertex (ρ_vt) and edge (ρ_et)
+/// frontier sizes with per-iteration time, three roots per class.
+/// The `paper_*` pairs are the published range over the paper's three
+/// roots.
+fn table1(quick: bool) -> Vec<Table> {
+    let reduction = if quick { 5 } else { 3 };
+    let device = DeviceConfig::gtx_titan();
+    let mut rows = Vec::new();
+    for d in FRONTIER_CLASSES {
+        let g = d.generate(reduction, SEED);
+        let (paper_rho_vt, paper_rho_et) = match d {
+            DatasetId::RggN2_20 => ([0.950, 0.981], [0.950, 0.980]),
+            DatasetId::DelaunayN20 => ([0.990, 0.995], [0.990, 0.995]),
+            DatasetId::KronG500Logn20 => ([0.704, 0.936], [-0.10, 0.20]),
+            DatasetId::LuxembourgOsm => ([0.885, 0.910], [0.883, 0.907]),
+            DatasetId::Smallworld => ([0.967, 0.995], [0.970, 0.998]),
+            d => unreachable!("{} is not a Table I graph", d.name()),
+        };
+        for root in paper_roots(d, &g) {
+            let t = frontier::trace_root(&g, root, &device);
+            rows.push(row! {
+                dataset: d.name(), root,
+                rho_vt: t.rho_vt(), paper_rho_vt, rho_et: t.rho_et(), paper_rho_et,
+            });
+        }
+    }
+    vec![Table::new("table1", rows)]
+}
+
+/// Table II: the dataset analogues' statistics beside the published
+/// full-scale rows (diameters by the 6-sweep BFS estimate).
+fn table2(quick: bool) -> Vec<Table> {
+    let reduction = if quick { 5 } else { 0 };
+    let rows = DatasetId::ALL
+        .into_iter()
+        .map(|d| {
+            let p = d.paper_row();
+            let s = GraphStats::compute_with_limit(&d.generate(reduction, SEED), 0);
+            row! {
+                dataset: d.name(), reduction,
+                vertices: s.vertices, paper_vertices: p.vertices,
+                edges: s.edges, paper_edges: p.edges,
+                max_degree: s.max_degree, paper_max_degree: p.max_degree,
+                diameter: s.diameter, paper_diameter: p.diameter,
+                avg_degree: s.avg_degree, diameter_exact: s.diameter_exact,
+                components: s.components, isolated: s.isolated,
+                largest_component_frac: s.largest_component_frac,
+                description: p.description,
+            }
+        })
+        .collect();
+    vec![Table::new("table2", rows)]
+}
+
+/// Table III: MTEPS of the edge-parallel baseline and the sampling
+/// method on the eight mid-size graphs, with the geometric-mean
+/// speedup (the paper's headline 2.71×) as the last row.
+fn table3(quick: bool) -> Vec<Table> {
+    let (reduction, k) = if quick { (4, 16) } else { (0, 64) };
+    let opts = BcOptions {
+        roots: RootSelection::Strided(k),
+        ..Default::default()
+    };
+    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
+    for d in DatasetId::TABLE3 {
+        let g = d.generate(reduction, SEED);
+        let ep = Method::EdgeParallel.run(&g, &opts);
+        let ep = ep.expect("edge-parallel fits").report;
+        let samp = Method::Sampling(scaled_sampling(g.num_vertices(), k)).run(&g, &opts);
+        let samp = samp.expect("sampling fits").report;
+        let speedup = ep.full_seconds / samp.full_seconds;
+        speedups.push(speedup);
+        let [paper_edge_parallel_mteps, paper_sampling_mteps, paper_speedup] = match d {
+            DatasetId::AfShell9 => [18.00, 239.66, 13.31],
+            DatasetId::CaidaRouterLevel => [180.98, 182.21, 1.01],
+            DatasetId::Cnr2000 => [141.75, 220.64, 1.56],
+            DatasetId::ComAmazon => [109.72, 127.79, 1.16],
+            DatasetId::DelaunayN20 => [14.19, 145.09, 10.23],
+            DatasetId::LocGowalla => [209.56, 219.31, 1.05],
+            DatasetId::LuxembourgOsm => [4.74, 39.42, 8.31],
+            DatasetId::Smallworld => [297.48, 398.63, 1.34],
+            d => unreachable!("{} is not a Table III graph", d.name()),
+        };
+        rows.push(row! {
+            dataset: d.name(), speedup, paper_speedup,
+            edge_parallel_mteps: ep.mteps(), paper_edge_parallel_mteps,
+            sampling_mteps: samp.mteps(), paper_sampling_mteps,
+            vertices: g.num_vertices(), edges: g.num_undirected_edges(),
+            edge_parallel_seconds: ep.full_seconds, sampling_seconds: samp.full_seconds,
+        });
+    }
+    rows.push(row! {
+        dataset: "geomean", speedup: teps::geometric_mean(&speedups), paper_speedup: 2.71,
+    });
+    vec![Table::new("table3", rows)]
+}
+
+/// Table IV: 64-node (192-GPU) GTEPS of the three scaling families,
+/// the speedup over one node, and the GTEPS with isolated vertices
+/// discounted (§V-D: they inflate Kronecker's raw figure).
+fn table4(quick: bool) -> Vec<Table> {
+    let (reduction, k) = if quick { (6, 24) } else { (2, 96) };
+    let paper = [
+        (DatasetId::RggN2_20, 8.25, 63.34),
+        (DatasetId::DelaunayN20, 9.37, 63.24),
+        (DatasetId::KronG500Logn20, 24.13, 63.75),
+    ];
+    let rows = paper
+        .into_iter()
+        .map(|(d, paper_gteps, paper_speedup)| {
+            let g = d.generate(reduction, SEED);
+            let run = |nodes| run_cluster(&g, &ClusterConfig::keeneland(nodes), k);
+            let one = run(1).expect("1-node run fits").report;
+            let all = run(64).expect("64-node run fits").report;
+            let isolated = g.num_isolated();
+            let (m, n) = (g.num_undirected_edges(), g.num_vertices() as u64);
+            row! {
+                dataset: d.name(),
+                gteps_64: all.gteps(), paper_gteps,
+                speedup_over_1_node: one.total_seconds / all.total_seconds, paper_speedup,
+                gteps_adjusted:
+                    teps::teps_bc_adjusted(m, n, isolated as u64, all.total_seconds) / 1e9,
+                isolated_vertices: isolated,
+            }
+        })
+        .collect();
+    vec![Table::new("table4", rows)]
+}
+
+/// Fig. 2: useful and wasted work of one search (root 0) under the
+/// vertex-parallel, edge-parallel and work-efficient thread-to-work
+/// assignments.
+fn fig2(quick: bool) -> Vec<Table> {
+    use DatasetId::{KronG500Logn20, LuxembourgOsm, Smallworld};
+    let reduction = if quick { 7 } else { 5 };
+    let opts = BcOptions {
+        roots: RootSelection::Explicit(vec![0]),
+        ..Default::default()
+    };
+    let mut rows = Vec::new();
+    for d in [LuxembourgOsm, KronG500Logn20, Smallworld] {
+        let g = d.generate(reduction, SEED);
+        for m in [
+            Method::VertexParallel,
+            Method::EdgeParallel,
+            Method::WorkEfficient,
+        ] {
+            let c = m.run(&g, &opts).expect("fits").report.counters;
+            rows.push(row! {
+                dataset: d.name(), method: m.name(),
+                useful_edge_inspections: c.useful_edge_inspections,
+                wasted_edge_inspections: c.wasted_edge_inspections,
+                wasted_vertex_checks: c.wasted_vertex_checks,
+                warp_steps: c.warp_steps, work_efficiency: c.work_efficiency(),
+            });
+        }
+    }
+    vec![Table::new("fig2", rows)]
+}
+
+/// `series` as at most 64 bars of eight heights, each bar the maximum
+/// of its share of the series relative to `max`.
+fn sparkline(series: &[f64], max: f64) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let cols = series.len().min(64);
+    (0..cols)
+        .map(|c| {
+            let lo = c * series.len() / cols;
+            let hi = ((c + 1) * series.len() / cols).max(lo + 1);
+            let v = series[lo..hi].iter().copied().fold(0.0, f64::max);
+            let bar = if max <= 0.0 {
+                0
+            } else {
+                (v / max * 7.0).round() as usize
+            };
+            BARS[bar.min(7)]
+        })
+        .collect()
+}
+
+/// Fig. 3: the vertex frontier over a search, as a percentage of n,
+/// from Table I's roots: its peak, the depth, and the series as a
+/// sparkline. High-diameter classes grow gradually and peak near one
+/// percent of n; small-world and scale-free ones explode.
+fn fig3(quick: bool) -> Vec<Table> {
+    let reduction = if quick { 5 } else { 3 };
+    let device = DeviceConfig::gtx_titan();
+    let mut rows = Vec::new();
+    for d in FRONTIER_CLASSES {
+        let g = d.generate(reduction, SEED);
+        let n = g.num_vertices();
+        for root in paper_roots(d, &g) {
+            let pct = frontier::trace_root(&g, root, &device).vertex_frontier_percent(n);
+            let peak_percent = pct.iter().copied().fold(0.0, f64::max);
+            rows.push(row! {
+                dataset: d.name(), root, vertices: n, peak_percent, depth: pct.len(),
+                frontier: sparkline(&pct, peak_percent),
+            });
+        }
+    }
+    vec![Table::new("fig3", rows)]
+}
+
+/// Fig. 4: speedup of the work-efficient, hybrid and sampling methods
+/// over the edge-parallel baseline, with each method's geometric mean
+/// as the last row.
+fn fig4(quick: bool) -> Vec<Table> {
+    use DatasetId::*;
+    let (reduction, k) = if quick { (5, 16) } else { (2, 96) };
+    let opts = BcOptions {
+        roots: RootSelection::Strided(k),
+        ..Default::default()
+    };
+    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
+    // Figure 4's x-axis order.
+    for d in [
+        AfShell9,
+        DelaunayN20,
+        LuxembourgOsm,
+        CaidaRouterLevel,
+        Cnr2000,
+        ComAmazon,
+        LocGowalla,
+        Smallworld,
+    ] {
+        let g = d.generate(reduction, SEED);
+        let seconds = |m: Method| m.run(&g, &opts).expect("method fits").report.full_seconds;
+        let base = seconds(Method::EdgeParallel);
+        let s = [
+            Method::WorkEfficient,
+            Method::Hybrid(Default::default()),
+            Method::Sampling(scaled_sampling(g.num_vertices(), k)),
+        ]
+        .map(|m| base / seconds(m));
+        rows.push(row! {
+            dataset: d.name(), work_efficient_speedup: s[0], hybrid_speedup: s[1],
+            sampling_speedup: s[2], edge_parallel_seconds: base,
+        });
+        speedups.push(s);
+    }
+    let gm = |i: usize| teps::geometric_mean(&speedups.iter().map(|s| s[i]).collect::<Vec<_>>());
+    rows.push(row! {
+        dataset: "geomean", work_efficient_speedup: gm(0), hybrid_speedup: gm(1),
+        sampling_speedup: gm(2),
+    });
+    vec![Table::new("fig4", rows)]
+}
+
+/// One member of Figs. 5 and 6's scaling families at 2^scale
+/// vertices.
+fn family_instance(family: &str, scale: u32) -> Csr {
+    let n = 1usize << scale;
+    match family {
+        "rgg" => {
+            let row = DatasetId::RggN2_20.paper_row();
+            let deg = 2.0 * row.edges as f64 / row.vertices as f64;
+            gen::random_geometric(n, gen::rgg_radius_for_degree(n, deg), SEED)
+        }
+        "delaunay" => {
+            let side = (n as f64).sqrt().round() as usize;
+            gen::delaunay_like(side, side, SEED)
+        }
+        "kron" => gen::kronecker(scale, 16, SEED),
+        _ => unreachable!("no scaling family {family}"),
+    }
+}
+
+/// Fig. 5: simulated exact-BC time by problem size for GPU-FAN,
+/// edge-parallel and sampling. GPU-FAN's time is `null` where its
+/// O(n²) predecessor matrix no longer fits the device, as in the
+/// paper; any other error fails the run.
+fn fig5(quick: bool) -> Vec<Table> {
+    let (scales, k) = if quick { (10..=13, 8) } else { (10..=17, 64) };
+    let opts = BcOptions {
+        roots: RootSelection::Strided(k),
+        ..Default::default()
+    };
+    let mut rows = Vec::new();
+    for family in ["rgg", "delaunay", "kron"] {
+        for scale in scales.clone() {
+            let g = family_instance(family, scale);
+            let gpu_fan_seconds = match Method::GpuFan.run(&g, &opts) {
+                Ok(run) => Some(run.report.full_seconds),
+                Err(SimError::OutOfMemory { .. }) => None,
+                Err(e) => panic!("gpu-fan on {family} 2^{scale}: {e}"),
+            };
+            let seconds = |m: Method| m.run(&g, &opts).expect("method fits").report.full_seconds;
+            rows.push(row! {
+                family, scale, vertices: g.num_vertices(), edges: g.num_undirected_edges(),
+                gpu_fan_seconds,
+                edge_parallel_seconds: seconds(Method::EdgeParallel),
+                sampling_seconds:
+                    seconds(Method::Sampling(scaled_sampling(g.num_vertices(), k))),
+            });
+        }
+    }
+    vec![Table::new("fig5", rows)]
+}
+
+/// Fig. 6: multi-GPU strong scaling on 1–64 Keeneland-like nodes
+/// (3 GPUs each); speedup is over one node.
+fn fig6(quick: bool) -> Vec<Table> {
+    let (scales, k): (&[u32], _) = if quick {
+        (&[12, 14], 24)
+    } else {
+        (&[14, 16, 18], 96)
+    };
+    let base = ClusterConfig::keeneland(1);
+    let mut rows = Vec::new();
+    for family in ["delaunay", "rgg", "kron"] {
+        for &scale in scales {
+            let g = family_instance(family, scale);
+            let points = strong_scaling(&g, &base, &[1, 2, 4, 8, 16, 32, 64], k);
+            for p in points.expect("cluster run fits") {
+                rows.push(row! {
+                    family, scale, nodes: p.nodes,
+                    total_seconds: p.report.total_seconds, speedup: p.speedup,
+                });
+            }
+        }
+    }
+    vec![Table::new("fig6", rows)]
+}
+
+/// The §IV design choices: hybrid α/β and sampling γ/n_samps
+/// sensitivity, the wrong-choice asymmetry, strided vs contiguous
+/// root blocks, and the work-efficient kernel variants.
+fn ablations(quick: bool) -> Vec<Table> {
+    use DatasetId::*;
+    let (reduction, k) = if quick { (5, 16) } else { (3, 64) };
+    let opts = BcOptions {
+        roots: RootSelection::Strided(k),
+        ..Default::default()
+    };
+    let high_diam = DelaunayN20.generate(reduction, SEED);
+    let small_world = Smallworld.generate(reduction, SEED);
+    let seconds = |m: Method, g: &Csr| m.run(g, &opts).expect("fits").report.full_seconds;
+
+    // α sweep, β at 512 (α = u64::MAX never switches).
+    let alpha = [64u64, 256, 768, 2048, u64::MAX].map(|alpha| {
+        let hybrid = Method::Hybrid(HybridParams { alpha, beta: 512 });
+        row! {
+            alpha,
+            delaunay_seconds: seconds(hybrid.clone(), &high_diam),
+            smallworld_seconds: seconds(hybrid, &small_world),
+        }
+    });
+    // β sweep, α at 768.
+    let beta = [32u64, 128, 512, 2048, 8192].map(|beta| {
+        let hybrid = Method::Hybrid(HybridParams { alpha: 768, beta });
+        row! { beta, smallworld_seconds: seconds(hybrid, &small_world) }
+    });
+    // γ sweep; `*_edge_parallel` is the decision the sampled depths made.
+    let n = high_diam.num_vertices().min(small_world.num_vertices());
+    let gamma = [0.5f64, 2.0, 4.0, 8.0, 16.0].map(|gamma| {
+        let sampling = Method::Sampling(SamplingParams {
+            gamma,
+            ..scaled_sampling(n, k)
+        });
+        let run = |g: &Csr| sampling.run(g, &opts).expect("fits").report;
+        let (hd, sw) = (run(&high_diam), run(&small_world));
+        row! {
+            gamma,
+            delaunay_seconds: hd.full_seconds,
+            delaunay_edge_parallel: hd.sampling_chose_edge_parallel,
+            smallworld_seconds: sw.full_seconds,
+            smallworld_edge_parallel: sw.sampling_chose_edge_parallel,
+        }
+    });
+    // n_samps in full-run units (512 is the paper's setting), scaled
+    // to the k simulated roots.
+    let nsamps = [8usize, 32, 128, 512, 2048].map(|n_samps| {
+        let sampling = Method::Sampling(SamplingParams {
+            n_samps: (n_samps * k).div_ceil(small_world.num_vertices()).max(1),
+            ..Default::default()
+        });
+        row! { n_samps, smallworld_seconds: seconds(sampling, &small_world) }
+    });
+
+    // Wrong-choice asymmetry (§IV-B): the worst slowdown over each
+    // side's inputs of running the strategy the input does not favour.
+    let worst = |graphs: &[DatasetId], ep_preferred: bool| {
+        graphs.iter().fold(0.0f64, |worst, d| {
+            let g = d.generate(reduction, SEED);
+            let we = seconds(Method::WorkEfficient, &g);
+            let ep = seconds(Method::EdgeParallel, &g);
+            worst.max(if ep_preferred { we / ep } else { ep / we })
+        })
+    };
+    let wrong_choice = vec![
+        row! {
+            case: "WE-where-EP-preferred",
+            slowdown: worst(&[Smallworld, Cnr2000, LocGowalla, CaidaRouterLevel], true),
+            paper_slowdown: "<= 2.2",
+        },
+        row! {
+            case: "EP-where-WE-preferred",
+            slowdown: worst(&[DelaunayN20, LuxembourgOsm, AfShell9], false),
+            paper_slowdown: "> 10",
+        },
+    ];
+
+    // Root distribution over 14 blocks: makespan of the per-root times.
+    let run = Method::WorkEfficient.run(&high_diam, &opts).expect("fits");
+    let times = &run.report.per_root_seconds;
+    let contiguous = times
+        .chunks(times.len().div_ceil(14))
+        .map(|c| c.iter().sum::<f64>())
+        .fold(0.0f64, f64::max);
+    let blocks = vec![
+        row! { layout: "strided", makespan_seconds: coarse_grained_makespan(times, 14) },
+        row! { layout: "contiguous", makespan_seconds: contiguous },
+    ];
+
+    // Work-efficient kernel variants (§IV-A), the paper's first.
+    let device = DeviceConfig::gtx_titan();
+    let variants = [
+        (
+            "atomic + neighbor-traversal (paper)",
+            WorkEfficientConfig::default(),
+        ),
+        (
+            "prefix-sum queue append",
+            WorkEfficientConfig {
+                queue_append: QueueAppend::PrefixSum,
+                ..Default::default()
+            },
+        ),
+        (
+            "O(m) predecessor edge flags",
+            WorkEfficientConfig {
+                predecessors: PredecessorStorage::EdgeFlags,
+                ..Default::default()
+            },
+        ),
+    ]
+    .map(|(variant, cfg)| {
+        let run = |g: &Csr| {
+            let bytes = footprint::work_efficient_bytes_cfg(g, &device, cfg);
+            let mut model = WorkEfficientModel::with_config(cfg);
+            let run = run_with_cost_model(g, &opts, &mut model, bytes).expect("fits");
+            (run.report.full_seconds, bytes)
+        };
+        let ((delaunay_seconds, delaunay_local_bytes), (smallworld_seconds, _)) =
+            (run(&high_diam), run(&small_world));
+        row! { variant, delaunay_seconds, smallworld_seconds, delaunay_local_bytes }
+    });
+
+    vec![
+        Table::new("ablations_alpha", alpha.into()),
+        Table::new("ablations_beta", beta.into()),
+        Table::new("ablations_gamma", gamma.into()),
+        Table::new("ablations_nsamps", nsamps.into()),
+        Table::new("ablations_wrong_choice", wrong_choice),
+        Table::new("ablations_blocks", blocks),
+        Table::new("ablations_variants", variants.into()),
+    ]
 }
 
 /// Host threads of the parallel arm in `trajectory`.

@@ -1,76 +1,18 @@
-//! Shared harness code for the experiment binaries.
+//! Shared harness code for the `sweep` binary.
 //!
-//! Every `fig*`/`table*` binary and `ablations` regenerates one table
-//! or figure of the paper (see DESIGN.md §4); `sweep` runs the
-//! extension experiments. Common concerns — CLI flags, deterministic
-//! seeds, the results header, table rendering, JSON result export —
-//! live here.
+//! `sweep` regenerates the paper's tables and figures (sections
+//! `table1` … `fig6`, `ablations`; DESIGN.md §4) and runs the
+//! extension experiments. The common concerns — the seed, the
+//! results header, result rows and their tables, JSON result export
+//! — live here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use serde::{Serialize, Value};
-use std::path::PathBuf;
 
-/// Default seed for every experiment (override with `--seed`).
+/// The seed of every experiment.
 pub const DEFAULT_SEED: u64 = 20140101;
-
-/// Minimal flag parser: `--key value` pairs after the binary name.
-#[derive(Clone, Debug, Default)]
-pub struct Args {
-    pairs: Vec<(String, String)>,
-}
-
-impl Args {
-    /// Parse the process arguments. A `--name` followed by another
-    /// flag (or nothing) is a bare switch with the value `true`;
-    /// otherwise the next token is its value.
-    pub fn from_env() -> Self {
-        let mut pairs = Vec::new();
-        let mut it = std::env::args().skip(1).peekable();
-        while let Some(k) = it.next() {
-            if let Some(name) = k.strip_prefix("--") {
-                let bare = it.peek().is_none_or(|next| next.starts_with("--"));
-                let v = if bare {
-                    "true".to_string()
-                } else {
-                    it.next().expect("peeked value exists")
-                };
-                pairs.push((name.to_string(), v));
-            } else {
-                eprintln!("unexpected argument: {k}");
-                std::process::exit(2);
-            }
-        }
-        Args { pairs }
-    }
-
-    /// Look up a flag, parsing it into `T`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Experiment seed (`--seed`).
-    pub fn seed(&self) -> u64 {
-        self.get("seed", DEFAULT_SEED)
-    }
-
-    /// Dataset scale reduction (`--reduction`, halvings of the paper
-    /// sizes; 0 = full Table II scale).
-    pub fn reduction(&self, default: u32) -> u32 {
-        self.get("reduction", default)
-    }
-
-    /// Sampled roots per configuration (`--roots`).
-    pub fn roots(&self, default: usize) -> usize {
-        self.get("roots", default)
-    }
-}
 
 /// Sampling parameters scaled to a K-of-n sampled-roots run: the
 /// real algorithm spends its first `n_samps = 512` roots (of n) in
@@ -87,22 +29,6 @@ pub fn scaled_sampling(n: usize, k: usize) -> bc_core::SamplingParams {
         n_samps: scaled,
         ..base
     }
-}
-
-/// Directory experiment outputs are written to (`results/`, created
-/// on demand).
-pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).expect("create results directory");
-    dir
-}
-
-/// Serialize an experiment record to `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = out_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize experiment record");
-    std::fs::write(&path, json).expect("write experiment record");
-    eprintln!("wrote {}", path.display());
 }
 
 /// Cores the host offers this process.
@@ -247,16 +173,21 @@ pub fn write_results(stem: &str, header: &Header, tables: &[Table]) {
             .iter()
             .map(|t| (t.name.to_string(), Value::Array(t.rows.clone()))),
     );
-    write_json(stem, &Value::Object(doc));
+    std::fs::create_dir_all("results").expect("create results directory");
+    let path = format!("results/{stem}.json");
+    let json =
+        serde_json::to_string_pretty(&Value::Object(doc)).expect("a value tree always renders");
+    std::fs::write(&path, json).expect("write the results file");
+    eprintln!("wrote {path}");
 }
 
 /// Render an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
     }
@@ -281,46 +212,26 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Format seconds compactly (µs → hours).
-pub fn fmt_seconds(s: f64) -> String {
-    if s < 1e-3 {
-        format!("{:.1}us", s * 1e6)
-    } else if s < 1.0 {
-        format!("{:.2}ms", s * 1e3)
-    } else if s < 120.0 {
-        format!("{s:.2}s")
-    } else if s < 7200.0 {
-        format!("{:.1}min", s / 60.0)
-    } else {
-        format!("{:.2}h", s / 3600.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn args_lookup_with_defaults() {
-        let args = Args {
-            pairs: vec![("roots".into(), "128".into()), ("seed".into(), "7".into())],
-        };
-        assert_eq!(args.roots(1), 128);
-        assert_eq!(args.seed(), 7);
-        assert_eq!(args.reduction(3), 3);
-        // Unparseable values fall back to the default.
-        let bad = Args {
-            pairs: vec![("roots".into(), "xyz".into())],
-        };
-        assert_eq!(bad.roots(9), 9);
-    }
-
-    #[test]
-    fn seconds_formatting() {
-        assert_eq!(fmt_seconds(5e-5), "50.0us");
-        assert_eq!(fmt_seconds(0.25), "250.00ms");
-        assert_eq!(fmt_seconds(3.5), "3.50s");
-        assert_eq!(fmt_seconds(600.0), "10.0min");
-        assert_eq!(fmt_seconds(90000.0), "25.00h");
+    fn scaled_sampling_shrinks_the_sampling_phase_to_k_of_n_roots() {
+        let base = bc_core::SamplingParams::default();
+        for (n, k) in [(100, 100), (100, 200), (0, 0), (1, 5)] {
+            assert_eq!(scaled_sampling(n, k), base, "k = {k} >= n = {n}");
+        }
+        // max(ceil(512 * k / n), 3), the other parameters kept.
+        for (n, k, n_samps) in [
+            (1000, 64, 33),
+            (1024, 64, 32),
+            (100_000, 64, 3),
+            (600, 599, 512),
+        ] {
+            let p = scaled_sampling(n, k);
+            assert_eq!(p.n_samps, n_samps, "n = {n}, k = {k}");
+            assert_eq!((p.gamma, p.min_frontier), (base.gamma, base.min_frontier));
+        }
     }
 }
