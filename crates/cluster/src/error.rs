@@ -8,6 +8,7 @@
 //! computed.
 
 use crate::runner::ClusterRun;
+use bc_gpusim::SimError;
 use std::fmt;
 
 /// Required-vs-available device memory for one GPU — the pre-flight
@@ -49,6 +50,17 @@ pub enum ClusterError {
         /// The panic payload, stringified.
         message: String,
         /// Results completed before (and alongside) the panic.
+        partial: Box<ClusterRun>,
+    },
+    /// The engine refused a root for a reason no retry can change
+    /// (a path count σ that overflowed `f64`); contained, with
+    /// everything completed so far.
+    Simulation {
+        /// Flat GPU index whose root failed.
+        gpu: usize,
+        /// The engine's error.
+        source: SimError,
+        /// Results completed before (and alongside) the failure.
         partial: Box<ClusterRun>,
     },
     /// Every GPU in the cluster died; nobody is left to adopt the
@@ -112,6 +124,7 @@ impl ClusterError {
             | ClusterError::InsufficientMemory { .. }
             | ClusterError::Checkpoint { .. } => None,
             ClusterError::WorkerPanicked { partial, .. }
+            | ClusterError::Simulation { partial, .. }
             | ClusterError::AllGpusLost { partial, .. }
             | ClusterError::RootFailed { partial, .. }
             | ClusterError::ReduceFailed { partial, .. }
@@ -147,6 +160,7 @@ impl fmt::Display for ClusterError {
             ClusterError::WorkerPanicked { gpu, message, .. } => {
                 write!(f, "worker for gpu {gpu} panicked: {message}")
             }
+            ClusterError::Simulation { gpu, source, .. } => write!(f, "gpu {gpu}: {source}"),
             ClusterError::AllGpusLost {
                 dead,
                 completed_roots,
@@ -189,6 +203,7 @@ impl std::error::Error for ClusterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ClusterError::Checkpoint { source } => Some(source),
+            ClusterError::Simulation { source, .. } => Some(source),
             _ => None,
         }
     }

@@ -583,9 +583,12 @@ struct WorkerOut {
     oom: u64,
     panics: u64,
     retries: u64,
-    /// A *genuine* failure (non-injected panic or unexpected
-    /// simulator error) that aborted this worker.
+    /// A *genuine* panic (not an injected one) that aborted this
+    /// worker.
     fatal: Option<String>,
+    /// An error the engine returned for one of this worker's roots
+    /// (a σ overflow, say); it aborted the worker.
+    error: Option<SimError>,
 }
 
 /// Run exact BC on the cluster without fault injection, simulating
@@ -855,7 +858,7 @@ fn run_cluster_inner(
     // hook so containment genuinely runs, but every outcome matches
     // what the scheduler already decided.
     let ckpt_err: Mutex<Option<CheckpointError>> = Mutex::new(None);
-    let outs: Vec<WorkerOut> = thread::scope(|scope| {
+    let mut outs: Vec<WorkerOut> = thread::scope(|scope| {
         let handles: Vec<_> = schedule
             .per_gpu
             .iter()
@@ -935,7 +938,7 @@ fn run_cluster_inner(
                                 merger.deposit(task.idx, run.scores);
                             }
                             Ok(Err(e)) => {
-                                out.fatal = Some(e.to_string());
+                                out.error = Some(e);
                                 return out;
                             }
                             Err(payload) => {
@@ -1133,6 +1136,17 @@ fn run_cluster_inner(
             partial: Box::new(run),
         });
     }
+    if let Some((gpu, source)) = outs
+        .iter_mut()
+        .enumerate()
+        .find_map(|(gpu, o)| o.error.take().map(|e| (gpu, e)))
+    {
+        return Err(ClusterError::Simulation {
+            gpu,
+            source,
+            partial: Box::new(run),
+        });
+    }
     if let Some(source) = ckpt_err.into_inner().expect("checkpoint error slot") {
         return Err(ClusterError::Checkpoint { source });
     }
@@ -1190,6 +1204,24 @@ mod tests {
         assert_eq!(run.report.gpus, 6);
         assert_eq!(run.report.faults, FaultCounters::default());
         assert_eq!(run.report.checksum, score_checksum(&run.scores));
+    }
+
+    #[test]
+    fn sigma_overflow_is_a_typed_cluster_error() {
+        // Root 0 of a 1,100-diamond chain overflows σ at depth 2048.
+        let g = gen::diamond_chain(1100);
+        let cfg = ClusterConfig {
+            method: Method::WorkEfficient,
+            ..ClusterConfig::keeneland(1)
+        };
+        match run_cluster(&g, &cfg, 4) {
+            Err(ClusterError::Simulation {
+                source: SimError::PathCountOverflow { depth: 2048, .. },
+                partial,
+                ..
+            }) => assert!(partial.scores.iter().all(|s| s.is_finite())),
+            other => panic!("expected a path-count overflow, got {other:?}"),
+        }
     }
 
     #[test]

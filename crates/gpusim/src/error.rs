@@ -53,6 +53,16 @@ pub enum SimError {
         /// The panic payload, stringified.
         what: String,
     },
+    /// A shortest-path count σ overflowed `f64` in the search from
+    /// `root`: the first vertex with a non-finite σ lies at `depth`.
+    /// The scores would be ∞ or NaN, so none are returned. A property
+    /// of the graph, not retryable.
+    PathCountOverflow {
+        /// The search root.
+        root: u32,
+        /// BFS depth of the first level holding a non-finite σ.
+        depth: u32,
+    },
 }
 
 impl SimError {
@@ -60,8 +70,9 @@ impl SimError {
     ///
     /// Only [`SimError::TransientFault`] qualifies: genuine
     /// out-of-memory is a capacity fact, accounting underflow is a
-    /// bug, a lost device stays lost, and a contained panic needs a
-    /// structural decision by the caller.
+    /// bug, a lost device stays lost, a contained panic needs a
+    /// structural decision by the caller, and a path-count overflow
+    /// recurs on every rerun of the same root.
     pub fn is_transient(&self) -> bool {
         matches!(self, SimError::TransientFault { .. })
     }
@@ -95,6 +106,11 @@ impl fmt::Display for SimError {
             SimError::WorkerPanic { worker, what } => {
                 write!(f, "worker {worker} panicked: {what}")
             }
+            SimError::PathCountOverflow { root, depth } => write!(
+                f,
+                "shortest-path count overflowed f64 at depth {depth} of the search from \
+                 root {root}"
+            ),
         }
     }
 }

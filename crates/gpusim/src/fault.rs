@@ -85,6 +85,12 @@ mod tests {
             what: "boom".into(),
         };
         assert!(!p.is_transient());
+        let overflow = SimError::PathCountOverflow {
+            root: 0,
+            depth: 516,
+        };
+        assert!(!overflow.is_transient());
+        assert!(format!("{overflow}").contains("depth 516"));
         assert!(format!("{t}").contains("retryable"));
         assert!(format!("{lost}").contains("device 3"));
         assert!(format!("{p}").contains("worker 1"));

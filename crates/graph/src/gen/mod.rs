@@ -28,5 +28,5 @@ pub use mesh::{delaunay_like, sheet_mesh, triangulated_grid};
 pub use preferential::{barabasi_albert, geosocial, router_topology};
 pub use rgg::{random_geometric, rgg_radius_for_degree};
 pub use road::road_network;
-pub use shapes::{balanced_tree, complete, cycle, erdos_renyi, grid, path, star};
+pub use shapes::{balanced_tree, complete, cycle, diamond_chain, erdos_renyi, grid, path, star};
 pub use small_world::watts_strogatz;

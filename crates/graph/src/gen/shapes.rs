@@ -47,6 +47,18 @@ pub fn grid(w: usize, h: usize) -> Csr {
     Csr::from_undirected_edges(w * h, edges)
 }
 
+/// A chain of `k` diamonds from vertex 0: diamond `i` joins vertex
+/// `3i` to `3i + 3` through `3i + 1` and `3i + 2`, so the shortest-path
+/// count from 0 doubles per diamond and reaches 2^k at the far end.
+/// σ overflows `f64` once `k` ≥ 1024.
+pub fn diamond_chain(k: usize) -> Csr {
+    let edges = (0..k as u32).flat_map(|i| {
+        let (t, a, b) = (3 * i, 3 * i + 1, 3 * i + 2);
+        [(t, a), (t, b), (a, t + 3), (b, t + 3)]
+    });
+    Csr::from_undirected_edges(3 * k + 1, edges)
+}
+
 /// Balanced tree with branching factor `b` and `depth` levels below
 /// the root (depth 0 is a single vertex).
 pub fn balanced_tree(b: usize, depth: usize) -> Csr {

@@ -236,24 +236,14 @@ mod tests {
         );
     }
 
-    /// A chain of `k` diamonds from vertex 0: each diamond doubles σ,
-    /// so the far end has σ = 2^k.
-    fn diamond_chain(k: u32) -> Csr {
-        let edges = (0..k).flat_map(|i| {
-            let (t, a, b) = (3 * i, 3 * i + 1, 3 * i + 2);
-            [(t, a), (t, b), (a, t + 3), (b, t + 3)]
-        });
-        Csr::from_undirected_edges(3 * k as usize + 1, edges)
-    }
-
     #[test]
     fn overflowed_sigma_is_named_by_the_invariants() {
         let device = DeviceConfig::gtx_titan();
         // σ = 2^1000 is finite: the search must verify clean.
-        let v = verify_root(&diamond_chain(1000), 0, &device);
+        let v = verify_root(&gen::diamond_chain(1000), 0, &device);
         assert!(v.is_clean(), "{:?} {:?}", v.races, v.violations);
         // σ = 2^1100 overflows: 2^1024 at diamond 1024, depth 2048.
-        let v = verify_root(&diamond_chain(1100), 0, &device);
+        let v = verify_root(&gen::diamond_chain(1100), 0, &device);
         let finite = v.violations.iter().filter(|v| v.check == "sigma.finite");
         let finite: Vec<_> = finite.collect();
         assert_eq!(finite.len(), 1, "{:?}", v.violations);
