@@ -380,25 +380,57 @@ mod tests {
         assert!(points.iter().all(|p| p.traversal == TraversalMode::Push));
     }
 
+    /// A transform whose baseline holds ∞ and NaN, as a caller that
+    /// computes scores outside the engine could produce.
+    struct NonFinite;
+
+    impl Transform for NonFinite {
+        type Case = ();
+        type Base = ();
+        const NAME: &'static str = "non-finite";
+        const EXERCISED: &'static str = "values";
+
+        fn baseline(&self, _: Axis) -> Result<(Keyed, ()), String> {
+            Ok((keyed(&[(0, 1.0), (1, f64::INFINITY), (2, f64::NAN)]), ()))
+        }
+
+        fn transformed(&self, _: Axis, _: &(), _: &()) -> Result<Transformed, Violation> {
+            Ok(Transformed::new(keyed(&[(0, 1.0)]), 3))
+        }
+    }
+
+    const AT: Axis = Axis {
+        schedule: Schedule::Static,
+        traversal: TraversalMode::Push,
+        width: 1,
+    };
+
     #[test]
     fn non_finite_baselines_fail() {
-        // σ overflows f64 on a 520 × 520 grid: corner-to-corner path
-        // counts pass f64::MAX near w ≈ 516.
+        let report = check(&NonFinite, &[AT], &[("same", ())]);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].check, "scores.finite");
+        assert_eq!(report.cases, 0, "a non-finite baseline is never compared");
+        // σ overflows f64 on a 520 × 520 grid (corner-to-corner path
+        // counts pass f64::MAX near w ≈ 516): the engine refuses the
+        // run, so the baseline fails before any score exists.
         let g = bc_graph::gen::grid(520, 520);
         let t = crate::relabel_equiv::Relabel::new(
             &g,
             bc_core::Method::WorkEfficient,
             bc_core::RootSelection::FirstK(1),
         );
-        let at = Axis {
-            schedule: Schedule::Static,
-            traversal: TraversalMode::Push,
-            width: 1,
-        };
         let cases = [("degree-desc", bc_graph::relabel::Relabeling::DegreeDesc)];
-        let report = check(&t, &[at], &cases);
+        let report = check(&t, &[AT], &cases);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].check, "scores.finite");
-        assert_eq!(report.cases, 0, "a non-finite baseline is never compared");
+        assert_eq!(report.violations[0].check, "equiv.baseline_runs");
+        assert!(
+            report.violations[0]
+                .detail
+                .contains("overflowed f64 at depth"),
+            "{}",
+            report.violations[0].detail
+        );
+        assert_eq!(report.cases, 0);
     }
 }
