@@ -28,11 +28,14 @@
 //! pre-flight fails with `OutOfMemory` and the partitioned scores are
 //! bitwise identical under a recoverable fault plan.
 
-use bc_bench::{row, scaled_sampling, write_results, Header, Table, DEFAULT_SEED as SEED};
+use bc_bench::{
+    row, scaled_sampling, write_results, Header, Serialize, Table, Value, DEFAULT_SEED as SEED,
+};
 use bc_cluster::{
     run_cluster, run_cluster_durable, run_cluster_with_faults, strong_scaling, ClusterConfig,
     ClusterError, DurabilityOptions, FaultPlan,
 };
+use bc_core::engine::{process_root, FreeModel, SearchWorkspace};
 use bc_core::methods::cost::{footprint, PredecessorStorage, QueueAppend, WorkEfficientConfig};
 use bc_core::methods::models::WorkEfficientModel;
 use bc_core::{
@@ -182,19 +185,27 @@ fn table2(quick: bool) -> Vec<Table> {
 /// Table III: MTEPS of the edge-parallel baseline and the sampling
 /// method on the eight mid-size graphs, with the geometric-mean
 /// speedup (the paper's headline 2.71×) as the last row.
+///
+/// Both methods run the `k` strided roots whose path counts σ fit in
+/// an `f64` (see [`sigma_fitting_roots`]). A row that had to leave
+/// roots out names how many in a last `sigma_overflow_roots` field;
+/// at full scale that is af_shell9 alone, 18 of its 64 roots.
 fn table3(quick: bool) -> Vec<Table> {
     let (reduction, k) = if quick { (4, 16) } else { (0, 64) };
-    let opts = BcOptions {
-        roots: RootSelection::Strided(k),
-        ..Default::default()
-    };
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for d in DatasetId::TABLE3 {
         let g = d.generate(reduction, SEED);
+        let strided = RootSelection::Strided(k).resolve(g.num_vertices());
+        let (roots, left_out) = sigma_fitting_roots(&g, strided);
+        let sampling = scaled_sampling(g.num_vertices(), roots.len());
+        let opts = BcOptions {
+            roots: RootSelection::Explicit(roots),
+            ..Default::default()
+        };
         let ep = Method::EdgeParallel.run(&g, &opts);
         let ep = ep.expect("edge-parallel fits").report;
-        let samp = Method::Sampling(scaled_sampling(g.num_vertices(), k)).run(&g, &opts);
+        let samp = Method::Sampling(sampling).run(&g, &opts);
         let samp = samp.expect("sampling fits").report;
         let speedup = ep.full_seconds / samp.full_seconds;
         speedups.push(speedup);
@@ -209,18 +220,45 @@ fn table3(quick: bool) -> Vec<Table> {
             DatasetId::Smallworld => [297.48, 398.63, 1.34],
             d => unreachable!("{} is not a Table III graph", d.name()),
         };
-        rows.push(row! {
+        let mut row = row! {
             dataset: d.name(), speedup, paper_speedup,
             edge_parallel_mteps: ep.mteps(), paper_edge_parallel_mteps,
             sampling_mteps: samp.mteps(), paper_sampling_mteps,
             vertices: g.num_vertices(), edges: g.num_undirected_edges(),
             edge_parallel_seconds: ep.full_seconds, sampling_seconds: samp.full_seconds,
-        });
+        };
+        if let (Value::Object(fields), 1..) = (&mut row, left_out) {
+            fields.push(("sigma_overflow_roots".to_string(), left_out.to_value()));
+        }
+        rows.push(row);
     }
     rows.push(row! {
         dataset: "geomean", speedup: teps::geometric_mean(&speedups), paper_speedup: 2.71,
     });
     vec![Table::new("table3", rows)]
+}
+
+/// The roots of `roots` whose path counts σ stay finite in an `f64`,
+/// and how many were left out. An engine-backed run over a root whose
+/// σ overflows returns `SimError::PathCountOverflow`: the count grows
+/// exponentially with depth on a wide-stencil mesh, and on af_shell9
+/// at full scale a root on the sheet's short edges passes `f64::MAX`
+/// near depth 442 of the ~502 to the far edge. One free engine pass
+/// per root finds them.
+fn sigma_fitting_roots(g: &Csr, roots: Vec<u32>) -> (Vec<u32>, usize) {
+    let device = DeviceConfig::gtx_titan();
+    let mut ws = SearchWorkspace::new(g.num_vertices());
+    let mut bc = vec![0.0; g.num_vertices()];
+    let asked = roots.len();
+    let fit: Vec<u32> = roots
+        .into_iter()
+        .filter(|&r| {
+            let out = process_root(g, r, &device, &mut ws, &mut FreeModel, &mut bc);
+            out.check(r).is_ok()
+        })
+        .collect();
+    let left_out = asked - fit.len();
+    (fit, left_out)
 }
 
 /// Table IV: 64-node (192-GPU) GTEPS of the three scaling families,
@@ -1201,4 +1239,32 @@ fn serve(quick: bool) -> Vec<Table> {
         Table::new("serve_workloads", workloads),
         Table::new("serve_batching", batching),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table3_leaves_out_the_full_scale_af_shell9_roots_whose_sigma_overflows() {
+        // Root 0 is a corner of the 1005 × 502 sheet and 252255 sits on
+        // its left edge: the far edge is ~502 levels away and σ passes
+        // f64::MAX before it. 126127 is a strided root in the sheet's
+        // middle column, where σ peaks near 2^585.
+        let g = DatasetId::AfShell9.generate(0, SEED);
+        let (fit, left_out) = sigma_fitting_roots(&g, vec![0, 126127, 252255]);
+        assert_eq!((fit, left_out), (vec![126127], 2));
+        let opts = BcOptions {
+            roots: RootSelection::Explicit(vec![0]),
+            ..Default::default()
+        };
+        let err = Method::EdgeParallel.run(&g, &opts).err();
+        assert_eq!(
+            err,
+            Some(SimError::PathCountOverflow {
+                root: 0,
+                depth: 442
+            })
+        );
+    }
 }
