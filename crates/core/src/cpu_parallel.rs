@@ -17,9 +17,10 @@ use bc_graph::{Csr, VertexId};
 
 /// Exact betweenness centrality using all available CPU cores.
 ///
-/// Errors only if a worker thread panics (contained by
+/// Errors if a worker thread panics (contained by
 /// [`parallel::cpu_betweenness_from_roots`] into
-/// [`SimError::WorkerPanic`] naming the shard).
+/// [`SimError::WorkerPanic`] naming the shard) or if a root's path
+/// counts overflow `f64` ([`SimError::PathCountOverflow`]).
 pub fn betweenness(g: &Csr) -> Result<Vec<f64>, SimError> {
     betweenness_from_roots(g, &(0..g.num_vertices() as u32).collect::<Vec<_>>())
 }

@@ -11,6 +11,15 @@
 //! each iteration. This is the classic functional/timing split used
 //! by architecture simulators.
 //!
+//! The host records the successor DAG as the forward pass finds it:
+//! each `σ[w] += σ[v]` edge is appended to `v`'s successor list (one
+//! [`VertexId`] per successor edge, plus one `u32` offset per reached
+//! vertex), and the backward stage walks those lists instead of
+//! re-checking `d[w] == d[v] + 1` on every neighbour. The GPU kernel
+//! that is priced and traced still inspects every neighbour: the
+//! backward edge frontier is the full degree sum, and under
+//! [`Observer::ACCESSES`] a trace-only scan emits the kernel's reads.
+//!
 //! What the search does is reported through one hook, [`Observer`]:
 //! per-access events for the race detector and the conformance gate,
 //! and one [`LevelMetrics`] record per kernel launch for the metrics
@@ -256,6 +265,18 @@ pub struct SearchWorkspace {
     f_curr: CompressedFrontier,
     /// `F_next` — discoveries of the running pull level.
     f_next: CompressedFrontier,
+    /// The successor DAG, recorded by the forward pass: every edge
+    /// `v → w` with `d[w] = d[v] + 1`, in adjacency order, grouped by
+    /// the stack position of `v`. The backward sweep walks these lists
+    /// instead of re-checking every neighbour; the priced and traced
+    /// kernel still inspects them all. One [`VertexId`] per successor
+    /// edge (at most `m` on a symmetric graph).
+    succ: Vec<VertexId>,
+    /// `succ_ends[i]..succ_ends[i + 1]` is the slice of `succ` holding
+    /// the successors of `S[i]`: one offset per expanded stack
+    /// position, after a leading 0. `u32` like the [`Csr`] offsets,
+    /// since `succ` never outgrows the adjacency array.
+    succ_ends: Vec<u32>,
     /// Scratch: one backward vertex's successor contributions as
     /// [`total_order_key`]s, sorted into a canonical order before
     /// summation so δ is bitwise invariant under any relabeling of the
@@ -293,6 +314,8 @@ impl SearchWorkspace {
             pull_degrees: Vec::new(),
             f_curr: CompressedFrontier::new(n),
             f_next: CompressedFrontier::new(n),
+            succ: Vec::new(),
+            succ_ends: Vec::with_capacity(n + 1),
             contrib: Vec::new(),
         }
     }
@@ -310,6 +333,9 @@ impl SearchWorkspace {
         }
         self.s.clear();
         self.ends.clear();
+        self.succ.clear();
+        self.succ_ends.clear();
+        self.succ_ends.push(0);
         self.dist[root as usize] = 0;
         self.sigma[root as usize] = 1.0;
         self.s.push(root);
@@ -571,9 +597,11 @@ pub fn process_root_observed<O: Observer>(
                             }
                             // atomicAdd(σ[w], σ[v])
                             ws.sigma[w as usize] += ws.sigma[v as usize];
+                            ws.succ.push(w);
                             updates += 1;
                         }
                     }
+                    ws.succ_ends.push(ws.succ.len() as u32);
                 }
             }
             Traversal::Pull => {
@@ -706,14 +734,15 @@ pub fn process_root_observed<O: Observer>(
                         }
                     }
                 }
-                // Discovery and σ accumulation in push order: the
-                // push kernel's functional body, so the stack layout
-                // and σ (an order-sensitive f64 sum) stay bitwise
-                // identical to push mode. It discovers exactly the
-                // unvisited vertices with a frontier parent, the ones
-                // the kernel above finds; the F_next→`S` compaction
-                // it stands for is folded into the level's price
-                // (`methods::cost::bottom_up_level`), not traced.
+                // Discovery, σ accumulation and the successor lists in
+                // push order: the push kernel's functional body, so the
+                // stack layout, σ (an order-sensitive f64 sum) and
+                // `succ` stay bitwise identical to push mode. It
+                // discovers exactly the unvisited vertices with a
+                // frontier parent, the ones the kernel above finds; the
+                // F_next→`S` compaction it stands for is folded into
+                // the level's price (`methods::cost::bottom_up_level`),
+                // not traced.
                 for qi in level_start..level_end {
                     let v = ws.s[qi];
                     // σ of a frontier vertex is never touched during
@@ -727,9 +756,11 @@ pub fn process_root_observed<O: Observer>(
                         }
                         if ws.dist[w as usize] == depth + 1 {
                             ws.sigma[w as usize] += sv;
+                            ws.succ.push(w);
                             updates += 1;
                         }
                     }
+                    ws.succ_ends.push(ws.succ.len() as u32);
                 }
                 pull_frontier_words = ws.f_curr.occupied_leaf_words();
                 pull_summary_words = ws.f_curr.occupied_summary_words();
@@ -846,6 +877,9 @@ pub fn process_root_observed<O: Observer>(
     // ---- Stage 2: dependency accumulation (Algorithm 3) ----
     // Leaves have no successors, so start one level above the
     // deepest (Line 12 of Algorithm 2); depth 0 contributes nothing.
+    // Every level was expanded, so every stack position has its
+    // successor list.
+    debug_assert_eq!(ws.succ_ends.len(), ws.s.len() + 1);
     let mut d = depth.saturating_sub(1);
     while d > 0 {
         let level_start = ws.ends[d as usize] as usize;
@@ -873,32 +907,23 @@ pub fn process_root_observed<O: Observer>(
                     kind: AccessKind::Read,
                 });
             }
+            // The priced kernel inspects every neighbour for the
+            // successor check d[v] == d + 1, so the edge frontier is the
+            // full degree; the host walks only the successors the
+            // forward pass recorded.
             frontier_edges += g.degree(w) as u64;
-            let sw = ws.sigma[w as usize];
-            // Successor contributions are collected and sorted into a
-            // canonical order before summation: the f64 total order,
-            // sorted as the integer keys of `total_order_key` (the
-            // same order, and equal keys are equal bits, so the sum
-            // is the one a `total_cmp` sort gives). The multiset of
-            // contributions depends only on the graph *structure* —
-            // σ and δ are themselves label-invariant by induction —
-            // so the sorted sum makes δ bitwise identical under any
-            // permutation of the vertex labels (degree ordered
-            // relabeling included), where the raw adjacency-order sum
-            // would reassociate the floats.
-            ws.contrib.clear();
-            for &v in g.neighbors(w) {
-                if O::ACCESSES {
-                    // The successor check d[v] == d + 1: plain read.
+            if O::ACCESSES {
+                // The kernel's scan, traced without its arithmetic: a
+                // plain d[v] read per neighbour, then σ[v] and δ[v] for
+                // each successor.
+                for &v in g.neighbors(w) {
                     obs.access(TraceEvent {
                         thread: lane,
                         array: KernelArray::Dist,
                         index: v,
                         kind: AccessKind::Read,
                     });
-                }
-                if ws.dist[v as usize] == d + 1 {
-                    if O::ACCESSES {
+                    if ws.dist[v as usize] == d + 1 {
                         obs.access(TraceEvent {
                             thread: lane,
                             array: KernelArray::Sigma,
@@ -912,11 +937,27 @@ pub fn process_root_observed<O: Observer>(
                             kind: AccessKind::Read,
                         });
                     }
-                    let c = sw / ws.sigma[v as usize] * (1.0 + ws.delta[v as usize]);
-                    ws.contrib.push(total_order_key(c));
-                    updates += 1;
                 }
             }
+            let sw = ws.sigma[w as usize];
+            // Successor contributions are collected and sorted into a
+            // canonical order before summation: the f64 total order,
+            // sorted as the integer keys of `total_order_key` (the
+            // same order, and equal keys are equal bits, so the sum
+            // is the one a `total_cmp` sort gives). The multiset of
+            // contributions depends only on the graph *structure* —
+            // σ and δ are themselves label-invariant by induction —
+            // so the sorted sum makes δ bitwise identical under any
+            // permutation of the vertex labels (degree ordered
+            // relabeling included), where the raw adjacency-order sum
+            // would reassociate the floats.
+            let succ = &ws.succ[ws.succ_ends[si] as usize..ws.succ_ends[si + 1] as usize];
+            ws.contrib.clear();
+            for &v in succ {
+                let c = sw / ws.sigma[v as usize] * (1.0 + ws.delta[v as usize]);
+                ws.contrib.push(total_order_key(c));
+            }
+            updates += succ.len() as u64;
             ws.contrib.sort_unstable();
             let mut dsw = 0.0f64;
             for &key in &ws.contrib {
@@ -1037,8 +1078,18 @@ mod tests {
         ws: &mut SearchWorkspace,
         model: &mut dyn CostModel,
     ) -> (RootOutcome, Vec<LevelMetrics>) {
+        observe_into(g, root, ws, model, &mut vec![0.0; g.num_vertices()])
+    }
+
+    /// [`observe`], accumulating the root's scores into `bc`.
+    fn observe_into(
+        g: &Csr,
+        root: VertexId,
+        ws: &mut SearchWorkspace,
+        model: &mut dyn CostModel,
+        bc: &mut [f64],
+    ) -> (RootOutcome, Vec<LevelMetrics>) {
         let device = DeviceConfig::gtx_titan();
-        let mut bc = vec![0.0; g.num_vertices()];
         let mut out = RootOutcome::default();
         let mut rec = MetricsRecorder::default();
         let ctx = RootContext {
@@ -1046,7 +1097,7 @@ mod tests {
             root,
             device: &device,
         };
-        process_root_observed(&ctx, ws, model, &mut bc, &mut out, &mut rec);
+        process_root_observed(&ctx, ws, model, bc, &mut out, &mut rec);
         assert_eq!(rec.roots.len(), 1);
         (out, rec.roots.pop().unwrap().levels)
     }
@@ -1391,11 +1442,14 @@ mod tests {
     }
 
     /// δ of the last search in `ws`, recomputed from its forward state
-    /// (distances, σ, stack) by summing each non-root vertex's
-    /// successor contributions sorted with `f64::total_cmp`.
-    fn total_cmp_reference_delta(g: &Csr, ws: &SearchWorkspace) -> Vec<f64> {
+    /// (distances, σ, stack) by scanning every neighbour of each
+    /// non-root vertex for successors and summing their contributions
+    /// sorted with `f64::total_cmp`; also the successor edges found out
+    /// of each depth.
+    fn total_cmp_reference_delta(g: &Csr, ws: &SearchWorkspace) -> (Vec<f64>, Vec<u64>) {
         let (dist, sigma) = (ws.dist(), ws.sigma());
         let mut delta = vec![0.0f64; g.num_vertices()];
+        let mut successors = vec![0u64; ws.ends().len()];
         let mut contrib = Vec::new();
         for &w in ws.stack()[1..].iter().rev() {
             contrib.clear();
@@ -1405,40 +1459,97 @@ mod tests {
                     contrib.push(c);
                 }
             }
+            successors[dist[w as usize] as usize] += contrib.len() as u64;
             contrib.sort_unstable_by(f64::total_cmp);
             delta[w as usize] = contrib.iter().fold(0.0, |sum, &c| sum + c);
         }
-        delta
+        (delta, successors)
+    }
+
+    /// Searches `roots` of `g` under `model` in one reused workspace
+    /// and checks δ, each backward level's `updates` and the engine's
+    /// accumulated scores bitwise against [`total_cmp_reference_delta`].
+    fn assert_backward_matches_reference(
+        g: &Csr,
+        roots: impl IntoIterator<Item = VertexId>,
+        ws: &mut SearchWorkspace,
+        model: &mut dyn CostModel,
+    ) {
+        let n = g.num_vertices();
+        let mut bc = vec![0.0; n];
+        let mut bc_ref = vec![0.0; n];
+        for r in roots {
+            let (out, levels) = observe_into(g, r, ws, model, &mut bc);
+            assert_eq!(out.check(r), Ok(()));
+            let (delta, successors) = total_cmp_reference_delta(g, ws);
+            for (v, (a, b)) in ws.delta().iter().zip(&delta).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "root {r}, vertex {v}: {a} vs {b}");
+            }
+            let backward: Vec<_> = levels
+                .iter()
+                .filter(|l| l.phase == MetricPhase::Backward)
+                .collect();
+            assert_eq!(backward.len(), out.max_depth.saturating_sub(1) as usize);
+            for l in backward {
+                assert_eq!(
+                    l.updates, successors[l.depth as usize],
+                    "root {r}, depth {}",
+                    l.depth
+                );
+            }
+            for &w in &ws.stack()[1..] {
+                bc_ref[w as usize] += delta[w as usize];
+            }
+        }
+        for (v, (a, b)) in bc.iter().zip(&bc_ref).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
+        }
     }
 
     #[test]
     fn key_sorted_backward_matches_total_cmp_reference_bitwise() {
         // Kronecker hubs with many distinct contributions, a star whose
         // hub sums n − 1 equal ones, and a complete bipartite graph
-        // where every list is all ties.
+        // where every list is all ties; each searched with push levels
+        // and with every level pulled, so both forward loops record
+        // the successor lists the backward sweep walks.
         let bipartite =
             Csr::from_undirected_edges(48, (0..8u32).flat_map(|a| (8..48u32).map(move |b| (a, b))));
-        let graphs = [gen::kronecker(10, 16, 3), gen::star(300), bipartite];
-        let device = DeviceConfig::gtx_titan();
-        for g in &graphs {
+        let kron = gen::kronecker(10, 16, 3);
+        let every_7th = |g: &Csr| (0..g.num_vertices() as VertexId).step_by(7);
+        for g in [&kron, &gen::star(300), &bipartite] {
             let n = g.num_vertices();
-            let mut ws = SearchWorkspace::new(n);
-            let mut bc = vec![0.0; n];
-            let mut bc_ref = vec![0.0; n];
-            for r in g.vertices().step_by(7) {
-                process_root(g, r, &device, &mut ws, &mut FreeModel, &mut bc);
-                let delta = total_cmp_reference_delta(g, &ws);
-                for (v, (a, b)) in ws.delta().iter().zip(&delta).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "root {r}, vertex {v}: {a} vs {b}");
-                }
-                for &w in &ws.stack()[1..] {
-                    bc_ref[w as usize] += delta[w as usize];
-                }
-            }
-            for (v, (a, b)) in bc.iter().zip(&bc_ref).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
-            }
+            let (mut push_ws, mut pull_ws) = (SearchWorkspace::new(n), SearchWorkspace::new(n));
+            assert_backward_matches_reference(g, every_7th(g), &mut push_ws, &mut FreeModel);
+            assert_backward_matches_reference(g, every_7th(g), &mut pull_ws, &mut AlwaysPull);
         }
+        // Beamer's automaton switches direction mid-search on kron.
+        let mut auto = crate::DirectionOptimizingModel::new(crate::TraversalMode::Auto);
+        let mut ws = SearchWorkspace::new(kron.num_vertices());
+        assert_backward_matches_reference(&kron, every_7th(&kron), &mut ws, &mut auto);
+        assert!(auto.push_iterations > 0 && auto.pull_iterations > 0);
+        // A directed graph: only kron's arcs from the lower label
+        // survive, so successors are out-neighbours only.
+        let mut offsets = vec![0];
+        let mut adj = Vec::new();
+        for v in kron.vertices() {
+            adj.extend(kron.neighbors(v).iter().filter(|&&w| w > v));
+            offsets.push(adj.len() as u32);
+        }
+        let directed = Csr::from_raw_parts(offsets, adj, false);
+        assert!(!directed.is_symmetric());
+        let mut ws = SearchWorkspace::new(directed.num_vertices());
+        assert_backward_matches_reference(&directed, every_7th(&directed), &mut ws, &mut FreeModel);
+        // A workspace reused right after a search that stopped on σ
+        // overflow, whose last level recorded no successor lists. From
+        // diamond i's tip σ peaks at 2^max(i, 1100 − i), finite for
+        // 77 ≤ i ≤ 1023.
+        let chain = gen::diamond_chain(1100);
+        let mut ws = SearchWorkspace::new(chain.num_vertices());
+        let (out, _) = observe(&chain, 0, &mut ws, &mut FreeModel);
+        assert_eq!(out.sigma_overflow_depth, Some(2048));
+        let fitting = (3 * 80..3 * 1020).step_by(97);
+        assert_backward_matches_reference(&chain, fitting, &mut ws, &mut FreeModel);
     }
 
     #[test]

@@ -407,11 +407,11 @@ impl<Meta> OrderedMerger<Meta> {
             self.n,
             "shard {shard} accumulator has the wrong length"
         );
-        // No finiteness check here. From the engine runners no ∞ or
-        // NaN arrives: a root whose σ overflows f64 fails the shard
-        // with `SimError::PathCountOverflow` before it adds anything to
-        // the accumulator. `cpu_betweenness_from_roots` deposits the
-        // CPU Brandes reference's sums, which still overflow silently.
+        // No finiteness check here. No runner deposits ∞ or NaN from
+        // an overflowed σ: a root whose path counts overflow f64 fails
+        // the shard with `SimError::PathCountOverflow` before it adds
+        // anything to the accumulator, in the engine runners and in
+        // `cpu_betweenness_from_roots` alike.
         let mut st = self.state.lock().expect("merger poisoned");
         debug_assert!(
             shard >= st.next,
@@ -596,7 +596,10 @@ fn run_roots_inner<M: ShardableCostModel, O: Observer + Default + Send>(
 /// [`brandes::BrandesWorkspace`] each — no per-root allocation.
 ///
 /// Worker panics are contained like [`run_roots`]'s: the first one
-/// comes back as [`SimError::WorkerPanic`] naming the shard index.
+/// comes back as [`SimError::WorkerPanic`] naming the shard index. A
+/// root whose path counts overflow `f64` fails the run with
+/// [`SimError::PathCountOverflow`] at the engine's depth, before its
+/// δ reaches the scores.
 pub fn cpu_betweenness_from_roots(
     g: &Csr,
     roots: &[VertexId],
@@ -614,6 +617,19 @@ pub fn cpu_betweenness_from_roots(
         |(ws, acc), shard, range| {
             for &r in &roots[range] {
                 brandes::single_source_into(g, r, ws);
+                // `order` runs in non-decreasing distance, so the first
+                // non-finite σ is the shallowest.
+                let ss = ws.search();
+                if let Some(&w) = ss
+                    .order
+                    .iter()
+                    .find(|&&w| !ss.sigma[w as usize].is_finite())
+                {
+                    return Err(SimError::PathCountOverflow {
+                        root: r,
+                        depth: ss.dist[w as usize],
+                    });
+                }
                 brandes::accumulate_from_workspace(g, r, ws, acc);
             }
             merger.deposit(shard, acc, ());
@@ -810,6 +826,23 @@ mod tests {
         }
         let finite = run_roots(&g, &device, &[3 * 550, 3 * 550 + 1], 2, &mut FreeModel).unwrap();
         assert!(finite.scores.iter().all(|s| s.is_finite()));
+    }
+
+    #[test]
+    fn sigma_overflow_fails_the_cpu_reference_at_the_engine_depth() {
+        let g = gen::diamond_chain(1100);
+        let expect = SimError::PathCountOverflow {
+            root: 0,
+            depth: 2048,
+        };
+        for threads in [1, 2] {
+            for schedule in [Schedule::Static, Schedule::WorkStealing] {
+                let err = cpu_betweenness_from_roots(&g, &[3 * 550, 0], threads, schedule);
+                assert_eq!(err.unwrap_err(), expect, "{threads} threads, {schedule:?}");
+            }
+        }
+        let finite = cpu_betweenness_from_roots(&g, &[3 * 550], 2, Schedule::Static).unwrap();
+        assert!(finite.iter().all(|s| s.is_finite()));
     }
 
     #[test]

@@ -75,8 +75,8 @@ fn main() {
     {
         let mut current = g.clone();
         for _ in 0..max_k {
-            let scores =
-                bc_core::cpu_parallel::betweenness(&current).expect("host workers do not panic");
+            let scores = bc_core::cpu_parallel::betweenness(&current)
+                .expect("CPU Brandes: no worker panic, σ fits f64");
             let worst = (0..current.num_vertices() as u32)
                 .filter(|v| !adaptive.contains(v))
                 .max_by(|&a, &b| scores[a as usize].total_cmp(&scores[b as usize]))

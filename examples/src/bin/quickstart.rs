@@ -22,7 +22,7 @@ fn main() {
 
     // Ground truth on the host.
     let exact = brandes::betweenness(&g);
-    let parallel = cpu_parallel::betweenness(&g).expect("host workers do not panic");
+    let parallel = cpu_parallel::betweenness(&g).expect("CPU Brandes: no worker panic, σ fits f64");
     let max_dev = exact
         .iter()
         .zip(&parallel)
