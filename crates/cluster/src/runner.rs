@@ -30,6 +30,7 @@ use crate::error::{ClusterError, GpuMemoryDiagnostic};
 use crate::fault::{score_checksum, FaultCounters, FaultKind, FaultPlan, ReduceFault};
 use crate::net::NetworkConfig;
 use bc_core::approx::{error_bound, DEGRADED_SAMPLE_SOURCES};
+use bc_core::engine::DELTA_DEFINITION;
 use bc_core::methods::cost::footprint;
 use bc_core::parallel::panic_message;
 use bc_core::{
@@ -628,6 +629,32 @@ pub fn run_cluster_with_faults(
     .map(|(run, _)| run)
 }
 
+/// The description a checkpoint directory's options fingerprint is
+/// taken over: everything that decides a stored root's bits. It ends
+/// with [`DELTA_DEFINITION`], so a directory written by a build whose
+/// backward sweep summed δ differently is refused, not resumed into
+/// scores that match neither build.
+fn checkpoint_description(
+    method: &Method,
+    cfg: &ClusterConfig,
+    roots: usize,
+    partition: PartitionMode,
+) -> String {
+    format!(
+        "method={} traversal={:?} schedule={} nodes={} gpus-per-node={} device={} \
+         roots={} partition={:?} {}",
+        method.name(),
+        cfg.traversal,
+        cfg.schedule.name(),
+        cfg.nodes,
+        cfg.gpus_per_node,
+        cfg.device.name,
+        roots,
+        partition,
+        DELTA_DEFINITION,
+    )
+}
+
 /// [`run_cluster_with_faults`] with the durability layer engaged:
 /// checkpoint/restart, watchdog deadlines, and the
 /// graceful-degradation ladder per [`DurabilityOptions`].
@@ -794,18 +821,7 @@ fn run_cluster_inner(
     // this exact graph and configuration.
     let store = match &durability.checkpoint {
         Some(dir) => {
-            let desc = format!(
-                "method={} traversal={:?} schedule={} nodes={} gpus-per-node={} device={} \
-                 roots={} partition={:?}",
-                effective_method.name(),
-                cfg.traversal,
-                cfg.schedule.name(),
-                cfg.nodes,
-                cfg.gpus_per_node,
-                cfg.device.name,
-                roots.len(),
-                partition,
-            );
+            let desc = checkpoint_description(&effective_method, cfg, roots.len(), partition);
             Some(
                 CheckpointStore::open(
                     dir,
@@ -1762,6 +1778,38 @@ mod tests {
             Err(ClusterError::Checkpoint { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        // A directory written before δ became an exact sum: same
+        // configuration, but its description lacks the δ-definition
+        // token. Its stored scores have other last bits, so resume
+        // refuses it with the fingerprint error.
+        let old = temp_ckpt_dir("old-delta");
+        let desc = checkpoint_description(&cfg.method, &cfg, 16, PartitionMode::Off);
+        let old_desc = desc
+            .strip_suffix(&format!(" {DELTA_DEFINITION}"))
+            .expect("the token ends the description");
+        CheckpointStore::open(
+            &old,
+            options_fingerprint(old_desc),
+            graph_digest(&g),
+            200,
+            16,
+        )
+        .unwrap();
+        let durability = DurabilityOptions {
+            checkpoint: Some(old.clone()),
+            ..DurabilityOptions::default()
+        };
+        match run_cluster_durable(&g, &cfg, 16, &FaultPlan::none(), &durability) {
+            Err(ClusterError::Checkpoint {
+                source: CheckpointError::Mismatch { what, .. },
+            }) => assert_eq!(what, "fingerprint"),
+            other => panic!("expected a fingerprint mismatch, got {other:?}"),
+        }
+        // The current description resumes the same directory's shape.
+        let _ = std::fs::remove_dir_all(&old);
+        CheckpointStore::open(&old, options_fingerprint(&desc), graph_digest(&g), 200, 16).unwrap();
+        run_cluster_durable(&g, &cfg, 16, &FaultPlan::none(), &durability).unwrap();
+        let _ = std::fs::remove_dir_all(&old);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! that is priced and traced still inspects every neighbour: the
 //! backward edge frontier is the full degree sum, and under
 //! [`Observer::ACCESSES`] a trace-only scan emits the kernel's reads.
+//! Each `δ[w]` is the correctly rounded sum of its successor
+//! contributions (see [`DELTA_DEFINITION`]), which no order of the
+//! successor list can change, so δ is bitwise the same under push or
+//! pull levels and any relabeling of the vertices.
 //!
 //! What the search does is reported through one hook, [`Observer`]:
 //! per-access events for the race detector and the conformance gate,
@@ -29,6 +33,7 @@
 //! against those specs, so changes to the emission sites here must be
 //! mirrored there (the conformance gate fails otherwise).
 
+use crate::exact_sum::ExactSum;
 use crate::frontier::{CompressedFrontier, VERTICES_PER_SUMMARY_WORD, VERTICES_PER_WORD};
 use bc_gpusim::trace::{AccessKind, KernelArray, TraceEvent};
 use bc_gpusim::{DeviceConfig, IterationWork, KernelCounters, SimError};
@@ -36,6 +41,13 @@ use bc_graph::{Csr, VertexId};
 use bc_metrics::{
     LevelMetrics, MetricPhase, MetricTraversal, MetricsRecorder, RootMetrics, SwitchReason,
 };
+
+/// The definition of δ the backward sweep computes, as a token for
+/// the fingerprints of stored per-root scores: `δ[w]` is the correctly
+/// rounded sum of its successor contributions. Scores stored under
+/// another definition differ in their last bits, so a store keyed
+/// without this token must not be resumed.
+pub const DELTA_DEFINITION: &str = "delta=exact-sum";
 
 /// Distance marker for undiscovered vertices (the paper's `∞`).
 pub const INFINITY: u32 = u32::MAX;
@@ -277,29 +289,9 @@ pub struct SearchWorkspace {
     /// position, after a leading 0. `u32` like the [`Csr`] offsets,
     /// since `succ` never outgrows the adjacency array.
     succ_ends: Vec<u32>,
-    /// Scratch: one backward vertex's successor contributions as
-    /// [`total_order_key`]s, sorted into a canonical order before
-    /// summation so δ is bitwise invariant under any relabeling of the
-    /// adjacency lists.
-    contrib: Vec<u64>,
-}
-
-/// The integer key of `x` under IEEE 754 totalOrder: the sign bit is
-/// flipped and, for negative values, the magnitude bits are inverted,
-/// so the keys' unsigned order is exactly [`f64::total_cmp`]'s over
-/// every bit pattern (±0.0, subnormals, ±∞ and NaNs of either sign
-/// included), and equal keys are equal bits.
-#[inline]
-fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    (bits ^ (((bits as i64 >> 63) as u64) >> 1)) ^ (1 << 63)
-}
-
-/// The value whose [`total_order_key`] is `key`, bit for bit.
-#[inline]
-fn from_total_order_key(key: u64) -> f64 {
-    let bits = key ^ (1 << 63);
-    f64::from_bits(bits ^ (((bits as i64 >> 63) as u64) >> 1))
+    /// Scratch: the exact accumulator that sums one backward vertex's
+    /// successor contributions, so δ is their correctly rounded sum.
+    exact: ExactSum,
 }
 
 impl SearchWorkspace {
@@ -316,7 +308,7 @@ impl SearchWorkspace {
             f_next: CompressedFrontier::new(n),
             succ: Vec::new(),
             succ_ends: Vec::with_capacity(n + 1),
-            contrib: Vec::new(),
+            exact: ExactSum::default(),
         }
     }
 
@@ -940,29 +932,33 @@ pub fn process_root_observed<O: Observer>(
                 }
             }
             let sw = ws.sigma[w as usize];
-            // Successor contributions are collected and sorted into a
-            // canonical order before summation: the f64 total order,
-            // sorted as the integer keys of `total_order_key` (the
-            // same order, and equal keys are equal bits, so the sum
-            // is the one a `total_cmp` sort gives). The multiset of
-            // contributions depends only on the graph *structure* —
-            // σ and δ are themselves label-invariant by induction —
-            // so the sorted sum makes δ bitwise identical under any
-            // permutation of the vertex labels (degree ordered
-            // relabeling included), where the raw adjacency-order sum
-            // would reassociate the floats.
+            // δ[w] is the correctly rounded sum of the successor
+            // contributions σ[w]/σ[v]·(1 + δ[v]). It depends on their
+            // multiset alone, not on the order the successors were
+            // recorded in (push or pull, any relabeling). Zero, one
+            // and two terms are their own correctly rounded sums;
+            // longer lists go through the exact accumulator.
             let succ = &ws.succ[ws.succ_ends[si] as usize..ws.succ_ends[si + 1] as usize];
-            ws.contrib.clear();
-            for &v in succ {
-                let c = sw / ws.sigma[v as usize] * (1.0 + ws.delta[v as usize]);
-                ws.contrib.push(total_order_key(c));
-            }
+            let (sigma, delta) = (&ws.sigma, &ws.delta);
+            let contribution = |v: VertexId| {
+                let c = sw / sigma[v as usize] * (1.0 + delta[v as usize]);
+                // σ overflow stops a search before this sweep, so
+                // every contribution is positive and finite.
+                debug_assert!(c > 0.0 && c.is_finite(), "contribution {c}");
+                c
+            };
+            let dsw = match *succ {
+                [] => 0.0,
+                [v] => contribution(v),
+                [a, b] => contribution(a) + contribution(b),
+                _ => {
+                    for &v in succ {
+                        ws.exact.add(contribution(v));
+                    }
+                    ws.exact.take()
+                }
+            };
             updates += succ.len() as u64;
-            ws.contrib.sort_unstable();
-            let mut dsw = 0.0f64;
-            for &key in &ws.contrib {
-                dsw += from_total_order_key(key);
-            }
             if O::ACCESSES {
                 // δ[w] is written exactly once, by its owner — the
                 // atomic-free store Algorithm 3 is safe to make.
@@ -1052,6 +1048,7 @@ impl CostModel for FreeModel {
 mod tests {
     use super::*;
     use crate::brandes;
+    use crate::exact_sum::tests::oracle_sum;
     use bc_graph::gen;
 
     fn run_all_roots(g: &Csr) -> Vec<f64> {
@@ -1393,60 +1390,12 @@ mod tests {
         assert_eq!(out.max_depth, 1);
     }
 
-    /// Bit patterns the key must order and round-trip: both zeros,
-    /// subnormals, the extremes, both infinities, and NaNs of both
-    /// signs with quiet and signalling payloads.
-    const SPECIAL_BITS: [u64; 18] = [
-        0x0000_0000_0000_0000,
-        0x8000_0000_0000_0000,
-        0x0000_0000_0000_0001,
-        0x8000_0000_0000_0001,
-        0x000f_ffff_ffff_ffff,
-        0x800f_ffff_ffff_ffff,
-        0x0010_0000_0000_0000,
-        0x3ff0_0000_0000_0000,
-        0xbff0_0000_0000_0000,
-        0x7fef_ffff_ffff_ffff,
-        0xffef_ffff_ffff_ffff,
-        0x7ff0_0000_0000_0000,
-        0xfff0_0000_0000_0000,
-        0x7ff8_0000_0000_0000,
-        0xfff8_0000_0000_0000,
-        0x7ff0_0000_0000_0001,
-        0xfff0_0000_dead_beef,
-        0x7fff_ffff_ffff_ffff,
-    ];
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn total_order_key_orders_like_total_cmp_and_round_trips(
-            a in 0u64..=u64::MAX,
-            b in 0u64..=u64::MAX,
-            flip in 0u32..64,
-        ) {
-            // Every special value, random patterns, and a neighbour one
-            // bit away, compared pairwise.
-            let mut bits = SPECIAL_BITS.to_vec();
-            bits.extend([a, b, a ^ (1 << flip)]);
-            let values: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
-            for &x in &values {
-                let kx = total_order_key(x);
-                proptest::prop_assert_eq!(from_total_order_key(kx).to_bits(), x.to_bits());
-                for &y in &values {
-                    proptest::prop_assert_eq!(kx.cmp(&total_order_key(y)), x.total_cmp(&y));
-                }
-            }
-        }
-    }
-
     /// δ of the last search in `ws`, recomputed from its forward state
     /// (distances, σ, stack) by scanning every neighbour of each
     /// non-root vertex for successors and summing their contributions
-    /// sorted with `f64::total_cmp`; also the successor edges found out
-    /// of each depth.
-    fn total_cmp_reference_delta(g: &Csr, ws: &SearchWorkspace) -> (Vec<f64>, Vec<u64>) {
+    /// with the test oracle's exact sum; also the successor edges found
+    /// out of each depth.
+    fn exact_reference_delta(g: &Csr, ws: &SearchWorkspace) -> (Vec<f64>, Vec<u64>) {
         let (dist, sigma) = (ws.dist(), ws.sigma());
         let mut delta = vec![0.0f64; g.num_vertices()];
         let mut successors = vec![0u64; ws.ends().len()];
@@ -1460,15 +1409,14 @@ mod tests {
                 }
             }
             successors[dist[w as usize] as usize] += contrib.len() as u64;
-            contrib.sort_unstable_by(f64::total_cmp);
-            delta[w as usize] = contrib.iter().fold(0.0, |sum, &c| sum + c);
+            delta[w as usize] = oracle_sum(&contrib);
         }
         (delta, successors)
     }
 
     /// Searches `roots` of `g` under `model` in one reused workspace
     /// and checks δ, each backward level's `updates` and the engine's
-    /// accumulated scores bitwise against [`total_cmp_reference_delta`].
+    /// accumulated scores bitwise against [`exact_reference_delta`].
     fn assert_backward_matches_reference(
         g: &Csr,
         roots: impl IntoIterator<Item = VertexId>,
@@ -1481,7 +1429,7 @@ mod tests {
         for r in roots {
             let (out, levels) = observe_into(g, r, ws, model, &mut bc);
             assert_eq!(out.check(r), Ok(()));
-            let (delta, successors) = total_cmp_reference_delta(g, ws);
+            let (delta, successors) = exact_reference_delta(g, ws);
             for (v, (a, b)) in ws.delta().iter().zip(&delta).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "root {r}, vertex {v}: {a} vs {b}");
             }
@@ -1507,7 +1455,7 @@ mod tests {
     }
 
     #[test]
-    fn key_sorted_backward_matches_total_cmp_reference_bitwise() {
+    fn backward_sweep_matches_exact_sum_reference_bitwise() {
         // Kronecker hubs with many distinct contributions, a star whose
         // hub sums n − 1 equal ones, and a complete bipartite graph
         // where every list is all ties; each searched with push levels

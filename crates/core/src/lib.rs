@@ -31,6 +31,7 @@ pub mod brandes;
 pub mod checkpoint;
 pub mod cpu_parallel;
 pub mod engine;
+mod exact_sum;
 pub mod frontier;
 pub mod kernel_spec;
 pub mod methods;

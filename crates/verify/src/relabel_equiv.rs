@@ -5,10 +5,12 @@
 //! together, a pure memory-layout change. For any graph, method,
 //! traversal, thread count and schedule, running on the relabeled
 //! graph (roots mapped in, scores gathered back out) must reproduce
-//! the unrelabeled run **bitwise**. The engine earns this by summing
-//! the backward δ contributions in canonical (value-sorted) order, so
-//! every float accumulation is label-invariant. [`Relabel`] reports
-//! how many vertices the permutation moved as its exercised count.
+//! the unrelabeled run **bitwise**. The engine earns this by making
+//! each backward δ the correctly rounded sum of its successor
+//! contributions, a function of their multiset and not of the order
+//! the labels put them in, so every float accumulation is
+//! label-invariant. [`Relabel`] reports how many vertices the
+//! permutation moved as its exercised count.
 
 use crate::harness::{vertex_keyed, Axis, Keyed, Transform, Transformed};
 use crate::invariants::Violation;
