@@ -709,22 +709,25 @@ pub fn run_roots_contributions<M: ShardableCostModel>(
                 process_root_into(&ctx, ws, &mut m, acc, out);
                 out.check(r)?;
                 // The engine deposits δ only at reached non-root
-                // stack vertices, so sweeping the stack both extracts
-                // every nonzero entry and restores the accumulator to
-                // pristine zero in O(reached). Counting first sizes
-                // the vector exactly: the serving cache keeps it for
-                // as long as the root stays valid, so the slack a
-                // growing vector leaves would be retained memory.
-                let stack = ws.stack();
-                let nonzero = stack.iter().filter(|&&v| acc[v as usize] != 0.0).count();
+                // stack vertices, so counting over the stack sizes the
+                // vector exactly: the serving cache keeps it for as
+                // long as the root stays valid, so the slack a growing
+                // vector leaves would be retained memory. One
+                // ascending sweep over the accumulator then extracts
+                // the entries already in vertex order and restores it
+                // to pristine zero, in O(n) like the `levels` copy
+                // below.
+                let nonzero = ws
+                    .stack()
+                    .iter()
+                    .filter(|&&v| acc[v as usize] != 0.0)
+                    .count();
                 let mut entries = Vec::with_capacity(nonzero);
-                for &v in stack {
-                    let d = std::mem::take(&mut acc[v as usize]);
-                    if d != 0.0 {
-                        entries.push((v, d));
+                for (v, slot) in acc.iter_mut().enumerate() {
+                    if *slot != 0.0 {
+                        entries.push((v as VertexId, std::mem::take(slot)));
                     }
                 }
-                entries.sort_unstable_by_key(|&(v, _)| v);
                 contribs.push(RootContribution {
                     root: r,
                     seconds: out.counters.seconds,
@@ -1167,6 +1170,58 @@ mod tests {
         // Lengths off the doubling sequence, where a vector grown by
         // reallocation would show its slack.
         assert!(contribs.iter().any(|c| !c.entries.len().is_power_of_two()));
+    }
+
+    #[test]
+    fn contribution_sweep_matches_stack_sort_reference_across_components() {
+        // A large component and two small ones. Roots alternate
+        // between them, so any slot the sweep failed to zero after a
+        // large-component root would leak into the next small one.
+        let big = gen::watts_strogatz(200, 6, 0.1, 3);
+        let small = bc_graph::builder::disjoint_union(&gen::path(6), &gen::star(5));
+        let g = bc_graph::builder::disjoint_union(&big, &small);
+        let n = g.num_vertices();
+        let roots: Vec<u32> = (0..12u32).flat_map(|i| [i * 16, 200 + i % 11]).collect();
+        // Reference: a fresh accumulator per root, swept over the
+        // stack, then sorted by vertex.
+        let reference: Vec<Vec<(u32, f64)>> = roots
+            .iter()
+            .map(|&r| {
+                let mut ws = SearchWorkspace::new(n);
+                let mut acc = vec![0.0f64; n];
+                let out =
+                    crate::engine::process_root(&g, r, &titan(), &mut ws, &mut FreeModel, &mut acc);
+                out.check(r).unwrap();
+                let mut entries: Vec<(u32, f64)> = ws
+                    .stack()
+                    .iter()
+                    .map(|&v| (v, acc[v as usize]))
+                    .filter(|&(_, d)| d != 0.0)
+                    .collect();
+                entries.sort_unstable_by_key(|&(v, _)| v);
+                entries
+            })
+            .collect();
+        assert!(reference.iter().any(|e| e.len() > 100));
+        assert!(reference.iter().any(|e| !e.is_empty() && e.len() < 6));
+        for threads in [1usize, 2] {
+            let contribs = run_roots_contributions(
+                &g,
+                &titan(),
+                &roots,
+                threads,
+                Schedule::Static,
+                &mut FreeModel,
+            )
+            .unwrap();
+            for (c, want) in contribs.iter().zip(&reference) {
+                let bits = |e: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    e.iter().map(|&(v, d)| (v, d.to_bits())).collect()
+                };
+                assert_eq!(bits(&c.entries), bits(want), "root {} x {threads}", c.root);
+                assert_eq!(c.entries.capacity(), c.entries.len(), "root {}", c.root);
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,10 @@ pub struct ServeRow {
     /// Simulated device seconds this batch cost (0 for edits and for
     /// fully cache-served batches).
     pub priced_seconds: f64,
+    /// Score vectors this batch merged from contributions: its
+    /// distinct root lists minus those the previous batch of the same
+    /// graph and epoch already merged (0 for edits).
+    pub merges: u64,
     /// Per-request completion records, in request-id order.
     pub latencies: Vec<RequestLatency>,
 }

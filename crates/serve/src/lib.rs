@@ -37,7 +37,7 @@ pub mod traffic;
 pub use cache::{CacheKey, CacheStats, ContributionCache, EvictError, ENTRY_OVERHEAD_BYTES};
 pub use delta::{edit_touches_root, EdgeEdit, UNREACHED};
 pub use server::{
-    cold_answer, Answer, BcServer, Event, Query, Request, Response, ServeConfig, ServeMutation,
-    ServeOutcome,
+    cold_answer, Answer, BcServer, Event, Query, Request, Response, ServeConfig, ServeError,
+    ServeMutation, ServeOutcome,
 };
 pub use traffic::{open_loop_events, percentile, random_edits, ClosedLoop, QueryMix, SplitMix64};

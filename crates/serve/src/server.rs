@@ -22,6 +22,23 @@
 //! [`cold_answer`] is the reference implementation the verification
 //! battery compares against.
 //!
+//! **Merged vectors outlive the batch.** Each resident graph keeps
+//! the merged (halved, normalized) score vector of every distinct root
+//! list its previous batch answered, stamped with the `(epoch,
+//! fingerprint)` it was merged under. The next batch moves in each
+//! vector it needs again, merges only the root lists it lacks, and
+//! drops the rest, so memory stays one batch's distinct root lists.
+//! The stamp retires the vectors on an edit's epoch bump or an
+//! [`BcServer::add_graph`] replacement. Reuse is bitwise-invisible:
+//! the merge is a deterministic function of the root list and the
+//! epoch's contributions. Root lookups, pinning and miss recompute run
+//! unchanged, so no cache counter or priced second depends on reuse.
+//!
+//! **Malformed input is refused whole.** [`BcServer::run`] checks
+//! every event of its slice (resident graph, vertex ids in range,
+//! edits without self-loops) before it applies any, and returns a
+//! [`ServeError`] with the server unchanged.
+//!
 //! **Dynamic graphs.** [`Event::Edit`] rebuilds the resident CSR
 //! through [`Csr::with_edge_inserted`]/[`Csr::with_edge_removed`],
 //! bumps the graph's epoch (retiring stale cache keys), and replays
@@ -41,6 +58,8 @@ use bc_core::{
     run_roots_contributions, run_roots_scheduled, DirectionOptimizingModel, RootContribution,
     RootSelection, Schedule, TraversalMode,
 };
+use std::fmt;
+
 use bc_gpusim::{coarse_grained_makespan, DeviceConfig, SimError};
 use bc_graph::{Csr, VertexId};
 use bc_metrics::{RequestLatency, ServeRow};
@@ -232,10 +251,82 @@ pub struct ServeOutcome {
     pub rows: Vec<ServeRow>,
 }
 
+/// Why [`BcServer::run`] refused or failed a slice of the timeline.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ServeError {
+    /// A request or edit names a graph that is not resident.
+    UnknownGraph {
+        /// The graph name.
+        graph: String,
+    },
+    /// A request or edit names a vertex the graph does not have: a
+    /// queried vertex, an explicit root, or an edit endpoint.
+    VertexOutOfRange {
+        /// The graph name.
+        graph: String,
+        /// The offending vertex id.
+        vertex: VertexId,
+        /// The graph's vertex count.
+        num_vertices: usize,
+    },
+    /// An edit joins a vertex to itself; the CSR cannot hold
+    /// self-loops.
+    SelfLoop {
+        /// The graph name.
+        graph: String,
+        /// The vertex.
+        vertex: VertexId,
+    },
+    /// Recomputing a batch's missed roots failed.
+    Sim(SimError),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::UnknownGraph { graph } => write!(f, "no resident graph {graph:?}"),
+            ServeError::VertexOutOfRange {
+                graph,
+                vertex,
+                num_vertices,
+            } => write!(
+                f,
+                "vertex {vertex} out of range for graph {graph:?} (n = {num_vertices})"
+            ),
+            ServeError::SelfLoop { graph, vertex } => {
+                write!(
+                    f,
+                    "edit on graph {graph:?} is a self-loop at vertex {vertex}"
+                )
+            }
+            ServeError::Sim(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServeError::Sim(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<SimError> for ServeError {
+    fn from(e: SimError) -> Self {
+        ServeError::Sim(e)
+    }
+}
+
 struct GraphState {
     csr: Csr,
     epoch: u64,
     fingerprint: u64,
+    /// The previous batch's merged score vectors, by resolved root
+    /// list, valid while `memo_stamp` equals `(epoch, fingerprint)`.
+    memo: BTreeMap<Vec<VertexId>, Vec<f64>>,
+    memo_stamp: (u64, u64),
 }
 
 /// The long-running batched query server. State (resident graphs,
@@ -289,6 +380,8 @@ impl BcServer {
                 csr,
                 epoch: 0,
                 fingerprint,
+                memo: BTreeMap::new(),
+                memo_stamp: (0, fingerprint),
             },
         );
     }
@@ -329,7 +422,14 @@ impl BcServer {
     /// complete for the events given. Calling `run` again continues
     /// the same simulated clock — later calls must not carry events
     /// earlier than an already-applied edit.
-    pub fn run(&mut self, mut events: Vec<Event>) -> Result<ServeOutcome, SimError> {
+    ///
+    /// A slice holding any malformed event (see [`ServeError`]) is
+    /// refused before its first event applies, leaving the server
+    /// unchanged.
+    pub fn run(&mut self, mut events: Vec<Event>) -> Result<ServeOutcome, ServeError> {
+        for event in &events {
+            self.validate(event)?;
+        }
         events.sort_by(|a, b| a.at().total_cmp(&b.at()));
         let row_start = self.rows.len();
         let mut responses = Vec::new();
@@ -367,10 +467,59 @@ impl BcServer {
         })
     }
 
+    /// Refuse an event naming a graph that is not resident, a vertex
+    /// that graph does not have, or a self-loop edit. Edits keep the
+    /// vertex count, so the resident graph's count holds for the whole
+    /// slice.
+    fn validate(&self, event: &Event) -> Result<(), ServeError> {
+        let graph = match event {
+            Event::Query(req) => &req.graph,
+            Event::Edit { graph, .. } => graph,
+        };
+        let Some(state) = self.graphs.get(graph) else {
+            return Err(ServeError::UnknownGraph {
+                graph: graph.clone(),
+            });
+        };
+        let num_vertices = state.csr.num_vertices();
+        let vertices: Vec<VertexId> = match event {
+            Event::Query(req) => {
+                let mut named = match &req.roots {
+                    RootSelection::Explicit(roots) => roots.clone(),
+                    _ => Vec::new(),
+                };
+                match &req.query {
+                    Query::TopK { .. } => {}
+                    Query::PerVertex { vertex } => named.push(*vertex),
+                    Query::SubgraphBc { vertices } => named.extend(vertices),
+                }
+                named
+            }
+            Event::Edit { edit, .. } => {
+                let (u, v) = edit.endpoints();
+                if u == v {
+                    return Err(ServeError::SelfLoop {
+                        graph: graph.clone(),
+                        vertex: u,
+                    });
+                }
+                vec![u, v]
+            }
+        };
+        match vertices.into_iter().find(|&v| v as usize >= num_vertices) {
+            Some(vertex) => Err(ServeError::VertexOutOfRange {
+                graph: graph.clone(),
+                vertex,
+                num_vertices,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Close the open window at simulated time `at`: group pending
     /// requests by graph and execute one batch per graph, serialized
     /// on the single simulated device.
-    fn flush(&mut self, at: f64, responses: &mut Vec<Response>) -> Result<(), SimError> {
+    fn flush(&mut self, at: f64, responses: &mut Vec<Response>) -> Result<(), ServeError> {
         let queue_depth = self.pending.len() as u64;
         let batch = std::mem::take(&mut self.pending);
         let mut groups: BTreeMap<String, Vec<Request>> = BTreeMap::new();
@@ -394,11 +543,8 @@ impl BcServer {
         start: f64,
         queue_depth: u64,
         responses: &mut Vec<Response>,
-    ) -> Result<f64, SimError> {
-        let state = self
-            .graphs
-            .get(name)
-            .unwrap_or_else(|| panic!("request against unregistered graph {name:?}"));
+    ) -> Result<f64, ServeError> {
+        let state = &self.graphs[name];
         let (epoch, fingerprint) = (state.epoch, state.fingerprint);
         let n = state.csr.num_vertices();
 
@@ -458,30 +604,43 @@ impl BcServer {
         let cache_evictions = self.cache.stats.evictions - evictions_before;
 
         let completed = start + priced_seconds;
-        let state = &self.graphs[name];
-        let mut latencies = Vec::with_capacity(reqs.len());
+        let state = self.graphs.get_mut(name).expect("validated graph");
         // Requests with the same resolved roots share one merged score
-        // vector: the merge is a deterministic function of the roots,
-        // so every answer stays bitwise identical.
-        let mut merged: BTreeMap<&[VertexId], Vec<f64>> = BTreeMap::new();
+        // vector, and the previous batch's vectors carry over while the
+        // stamp holds: the merge is a deterministic function of the
+        // roots and the epoch's contributions, so every answer stays
+        // bitwise identical. Keeping only this batch's root lists
+        // bounds the memo to one batch.
+        if state.memo_stamp != (epoch, fingerprint) {
+            state.memo.clear();
+            state.memo_stamp = (epoch, fingerprint);
+        }
+        let wanted: BTreeSet<&Vec<VertexId>> = resolved.iter().collect();
+        state.memo.retain(|roots, _| wanted.contains(roots));
+        let mut merges = 0u64;
+        for roots in wanted {
+            if state.memo.contains_key(roots) {
+                continue;
+            }
+            let parts: Vec<&[(VertexId, f64)]> =
+                roots.iter().map(|r| local[r].entries.as_slice()).collect();
+            let mut scores = merge_contribution_entries(n, &parts);
+            brandes::halve_if_symmetric(&state.csr, &mut scores);
+            if self.config.normalize {
+                brandes::normalize(&mut scores, state.csr.is_symmetric());
+            }
+            state.memo.insert(roots.clone(), scores);
+            merges += 1;
+        }
+        let mut latencies = Vec::with_capacity(reqs.len());
         for (req, roots) in reqs.iter().zip(&resolved) {
-            let scores = merged.entry(roots.as_slice()).or_insert_with(|| {
-                let parts: Vec<&[(VertexId, f64)]> =
-                    roots.iter().map(|r| local[r].entries.as_slice()).collect();
-                let mut scores = merge_contribution_entries(n, &parts);
-                brandes::halve_if_symmetric(&state.csr, &mut scores);
-                if self.config.normalize {
-                    brandes::normalize(&mut scores, state.csr.is_symmetric());
-                }
-                scores
-            });
             responses.push(Response {
                 id: req.id,
                 arrival: req.arrival,
                 completed,
                 latency: completed - req.arrival,
                 epoch,
-                answer: answer_query(&req.query, scores),
+                answer: answer_query(&req.query, &state.memo[roots]),
             });
             latencies.push(RequestLatency {
                 id: req.id,
@@ -511,6 +670,7 @@ impl BcServer {
             carried_roots: 0,
             full_invalidation: false,
             priced_seconds,
+            merges,
             latencies,
         });
         Ok(completed)
@@ -521,10 +681,7 @@ impl BcServer {
     /// [`ServeMutation::SkipEpochBump`] the graph still changes but
     /// the epoch and cache are (incorrectly) left alone.
     fn apply_edit(&mut self, at: f64, name: &str, edit: EdgeEdit) {
-        let state = self
-            .graphs
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("edit against unregistered graph {name:?}"));
+        let state = self.graphs.get_mut(name).expect("validated graph");
         let (u, v) = edit.endpoints();
         state.csr = match edit {
             EdgeEdit::Insert(..) => state.csr.with_edge_inserted(u, v),
@@ -952,6 +1109,231 @@ mod tests {
             }
         }
         panic!("empty test graph");
+    }
+
+    fn batch_rows(rows: &[ServeRow]) -> Vec<&ServeRow> {
+        rows.iter().filter(|r| r.event == "batch").collect()
+    }
+
+    fn all_scores(g: &Csr) -> Query {
+        Query::SubgraphBc {
+            vertices: (0..g.num_vertices() as u32).collect(),
+        }
+    }
+
+    #[test]
+    fn consecutive_batches_reuse_merged_vectors_within_an_epoch() {
+        let g = test_graph(31);
+        let cfg = config();
+        let mut server = BcServer::single(g.clone(), cfg.clone());
+        let roots = RootSelection::Strided(20);
+        let query = all_scores(&g);
+        let ask = |id: u64, arrival: f64| {
+            Event::Query(Request {
+                id,
+                arrival,
+                graph: "default".to_owned(),
+                roots: roots.clone(),
+                query: query.clone(),
+            })
+        };
+        let out = server.run(vec![ask(0, 0.0), ask(1, 10.0)]).expect("serve");
+        let batches = batch_rows(&out.rows);
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0].merges, 1);
+        assert_eq!(batches[1].merges, 0, "the second batch reuses the vector");
+        // Lookups still run: the second batch is all cache hits.
+        assert_eq!(batches[1].cache_hits, batches[1].requested_roots);
+        let cold = cold_answer(&g, &cfg, &roots, &query).expect("cold");
+        for resp in &out.responses {
+            assert_eq!(resp.answer, cold, "request {}", resp.id);
+        }
+    }
+
+    #[test]
+    fn an_edit_retires_merged_vectors() {
+        let g = test_graph(19);
+        let cfg = config();
+        let mut server = BcServer::single(g.clone(), cfg.clone());
+        let roots = RootSelection::All;
+        let query = all_scores(&g);
+        let (u, v) = first_edge(&g);
+        let edited = g.with_edge_removed(u, v);
+        let before = cold_answer(&g, &cfg, &roots, &query).expect("cold");
+        let after = cold_answer(&edited, &cfg, &roots, &query).expect("cold");
+        assert_ne!(before, after, "the edit must change the scores");
+        let ask = |id: u64, arrival: f64| {
+            Event::Query(Request {
+                id,
+                arrival,
+                graph: "default".to_owned(),
+                roots: roots.clone(),
+                query: query.clone(),
+            })
+        };
+        let out = server
+            .run(vec![
+                ask(0, 0.0),
+                ask(1, 5.0),
+                Event::Edit {
+                    at: 10.0,
+                    graph: "default".to_owned(),
+                    edit: EdgeEdit::Delete(u, v),
+                },
+                ask(2, 20.0),
+            ])
+            .expect("serve");
+        let merges: Vec<u64> = batch_rows(&out.rows).iter().map(|r| r.merges).collect();
+        assert_eq!(merges, [1, 0, 1], "the edit's epoch bump forces a merge");
+        let edit_row = out.rows.iter().find(|r| r.event == "edit").unwrap();
+        assert_eq!(edit_row.merges, 0);
+        for resp in &out.responses {
+            let want = if resp.id == 2 { &after } else { &before };
+            assert_eq!(resp.answer, *want, "request {}", resp.id);
+        }
+    }
+
+    #[test]
+    fn add_graph_retires_merged_vectors() {
+        let g = test_graph(19);
+        let cfg = config();
+        let mut server = BcServer::single(g.clone(), cfg.clone());
+        let roots = RootSelection::All;
+        let query = all_scores(&g);
+        let (u, v) = first_edge(&g);
+        let replaced = g.with_edge_removed(u, v);
+        let ask = |id: u64, arrival: f64| {
+            vec![Event::Query(Request {
+                id,
+                arrival,
+                graph: "default".to_owned(),
+                roots: roots.clone(),
+                query: query.clone(),
+            })]
+        };
+        let first = server.run(ask(0, 0.0)).expect("serve");
+        assert_eq!(batch_rows(&first.rows)[0].merges, 1);
+        server.add_graph("default", replaced.clone());
+        let second = server.run(ask(1, 10.0)).expect("serve");
+        assert_eq!(
+            batch_rows(&second.rows)[0].merges,
+            1,
+            "a replaced graph must not reuse the old vectors"
+        );
+        let cold = cold_answer(&replaced, &cfg, &roots, &query).expect("cold");
+        assert_eq!(second.responses[0].answer, cold);
+    }
+
+    /// A valid query and a valid edit ahead of `bad` in one slice:
+    /// `run` must refuse the slice with `want` and apply none of it.
+    fn assert_refused(bad: Event, want: ServeError) {
+        let g = test_graph(23);
+        let mut server = BcServer::single(g.clone(), config());
+        let (u, v) = first_edge(&g);
+        let events = vec![
+            topk_request(0, 0.0, 3, RootSelection::FirstK(4)),
+            Event::Edit {
+                at: 1.0,
+                graph: "default".to_owned(),
+                edit: EdgeEdit::Delete(u, v),
+            },
+            bad,
+        ];
+        assert_eq!(server.run(events).unwrap_err(), want);
+        assert!(server.rows().is_empty(), "no event may apply");
+        assert_eq!(server.epoch("default"), Some(0));
+        assert_eq!(server.graph("default"), Some(&g));
+        assert_eq!(server.cache_len(), 0);
+        assert_eq!(server.device_free_at(), 0.0);
+        // The refused server still serves.
+        let out = server
+            .run(vec![topk_request(1, 2.0, 3, RootSelection::FirstK(4))])
+            .expect("serve after refusal");
+        assert_eq!(out.responses.len(), 1);
+    }
+
+    fn query_on(graph: &str, roots: RootSelection, query: Query) -> Event {
+        Event::Query(Request {
+            id: 9,
+            arrival: 0.5,
+            graph: graph.to_owned(),
+            roots,
+            query,
+        })
+    }
+
+    fn out_of_range(vertex: VertexId) -> ServeError {
+        ServeError::VertexOutOfRange {
+            graph: "default".to_owned(),
+            vertex,
+            num_vertices: 80,
+        }
+    }
+
+    #[test]
+    fn a_request_against_an_unregistered_graph_is_refused() {
+        let bad = query_on("missing", RootSelection::All, Query::TopK { k: 1 });
+        let want = ServeError::UnknownGraph {
+            graph: "missing".to_owned(),
+        };
+        assert_eq!(want.to_string(), "no resident graph \"missing\"");
+        assert_refused(bad, want);
+    }
+
+    #[test]
+    fn an_edit_against_an_unregistered_graph_is_refused() {
+        let bad = Event::Edit {
+            at: 0.5,
+            graph: "missing".to_owned(),
+            edit: EdgeEdit::Insert(0, 1),
+        };
+        let want = ServeError::UnknownGraph {
+            graph: "missing".to_owned(),
+        };
+        assert_refused(bad, want);
+    }
+
+    #[test]
+    fn an_out_of_range_per_vertex_query_is_refused() {
+        let query = Query::PerVertex { vertex: 80 };
+        assert_refused(
+            query_on("default", RootSelection::All, query),
+            out_of_range(80),
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_subgraph_vertex_is_refused() {
+        let query = Query::SubgraphBc {
+            vertices: vec![3, 1000, 7],
+        };
+        assert_refused(
+            query_on("default", RootSelection::All, query),
+            out_of_range(1000),
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_explicit_root_is_refused() {
+        let roots = RootSelection::Explicit(vec![0, 5, 81]);
+        let bad = query_on("default", roots, Query::TopK { k: 3 });
+        assert_refused(bad, out_of_range(81));
+    }
+
+    #[test]
+    fn an_out_of_range_or_self_loop_edit_is_refused() {
+        let edit = |edit| Event::Edit {
+            at: 0.5,
+            graph: "default".to_owned(),
+            edit,
+        };
+        assert_refused(edit(EdgeEdit::Insert(2, 80)), out_of_range(80));
+        assert_refused(edit(EdgeEdit::Delete(u32::MAX, 2)), out_of_range(u32::MAX));
+        let self_loop = ServeError::SelfLoop {
+            graph: "default".to_owned(),
+            vertex: 4,
+        };
+        assert_refused(edit(EdgeEdit::Insert(4, 4)), self_loop);
     }
 
     #[test]

@@ -224,8 +224,8 @@ impl Transform for ServeEdits<'_> {
 /// rows are a pure function of the workload (bitwise identical on a
 /// second run), batch accounting balances (`hits + misses ==
 /// requested_roots`, stored latency equals `completed - arrival`
-/// bitwise), sequence numbers are dense, and simulated time is
-/// monotone over batch rows.
+/// bitwise, no more merges than requests), sequence numbers are
+/// dense, and simulated time is monotone over batch rows.
 pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation> {
     let mut out = Vec::new();
     if rows != replay {
@@ -254,6 +254,15 @@ pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation
                         detail: format!(
                             "batch seq {}: {} hits + {} misses != {} requested roots",
                             row.seq, row.cache_hits, row.cache_misses, row.requested_roots
+                        ),
+                    });
+                }
+                if row.merges > row.batch_size {
+                    out.push(Violation {
+                        check: "serve.rows_merges",
+                        detail: format!(
+                            "batch seq {}: {} merges for {} requests",
+                            row.seq, row.merges, row.batch_size
                         ),
                     });
                 }
@@ -293,12 +302,12 @@ pub fn check_serve_rows(rows: &[ServeRow], replay: &[ServeRow]) -> Vec<Violation
                 last_batch_at = row.at;
             }
             "edit" => {
-                if row.batch_size != 0 || row.requested_roots != 0 {
+                if row.batch_size != 0 || row.requested_roots != 0 || row.merges != 0 {
                     out.push(Violation {
                         check: "serve.rows_edit_shape",
                         detail: format!(
-                            "edit seq {} carries batch fields (size {}, roots {})",
-                            row.seq, row.batch_size, row.requested_roots
+                            "edit seq {} carries batch fields (size {}, roots {}, merges {})",
+                            row.seq, row.batch_size, row.requested_roots, row.merges
                         ),
                     });
                 }
@@ -456,6 +465,7 @@ mod tests {
         let run = server.run(events).expect("run");
         let mut tampered = run.rows.clone();
         tampered[0].cache_hits += 1;
+        tampered[0].merges = tampered[0].batch_size + 1;
         let bad = check_serve_rows(&tampered, &run.rows);
         assert!(
             bad.iter().any(|v| v.check == "serve.rows_replay"),
@@ -464,6 +474,10 @@ mod tests {
         assert!(
             bad.iter().any(|v| v.check == "serve.rows_accounting"),
             "broken accounting not flagged"
+        );
+        assert!(
+            bad.iter().any(|v| v.check == "serve.rows_merges"),
+            "more merges than requests not flagged"
         );
     }
 }
