@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, the lint gate, the bc-verify suite (seeded
 # bugs and static analysis included), the quick sweep compared with
-# its committed rows, the CLI smoke runs, and the benchmark's
-# quick-mode tests.
+# its committed rows, the CLI smoke runs, the examples, and the
+# benchmark's quick-mode tests.
 #
 #   ./ci.sh        # build + tests + lint + verify suite + sweep + smokes
 #   ./ci.sh fast   # build + tests only
@@ -40,8 +40,9 @@ if [[ "${1:-}" != "fast" ]]; then
     # prints its wall time.
     echo "==> bc-verify suite"
     cargo run -q -p bc-verify --release --bin bc-verify
-    # The quick sweep compared with its committed rows, and the CLI
-    # smoke runs (one copy, shared with the CI workflow).
+    # The quick sweep compared with its committed rows, the CLI
+    # smoke runs and the examples (one copy, shared with the CI
+    # workflow).
     ./smokes.sh
     # The benchmark's own quick-mode tests: every workload end to end
     # at small size, including serve's bitwise check of served answers

@@ -191,39 +191,6 @@ pub fn betweenness_from_roots(g: &Csr, roots: impl IntoIterator<Item = VertexId>
     bc
 }
 
-/// Edge betweenness centrality: for every directed arc (indexed as
-/// in [`Csr::adj_array`]), the number of shortest paths using it.
-///
-/// For symmetric graphs the two arcs of an undirected edge carry
-/// equal scores after halving, and the undirected edge score is
-/// their **sum** (equivalently, twice either arc) — this is the
-/// quantity Girvan–Newman community detection removes edges by, one
-/// of the paper's §I motivating applications.
-pub fn edge_betweenness(g: &Csr) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut ebc = vec![0.0f64; g.num_directed_edges()];
-    let mut delta = vec![0.0f64; n];
-    let mut ws = BrandesWorkspace::new(n);
-    for s in g.vertices() {
-        single_source_into(g, s, &mut ws);
-        let ss = ws.search();
-        delta.fill(0.0);
-        for &w in ss.order.iter().rev() {
-            for (e, &v) in g.edge_range(w).zip(g.neighbors(w)) {
-                if ss.dist[v as usize] == ss.dist[w as usize].wrapping_add(1) {
-                    let flow =
-                        ss.sigma[w as usize] / ss.sigma[v as usize] * (1.0 + delta[v as usize]);
-                    // Arc w -> v carries `flow` paths from source s.
-                    ebc[e] += flow;
-                    delta[w as usize] += flow;
-                }
-            }
-        }
-    }
-    halve_if_symmetric(g, &mut ebc);
-    ebc
-}
-
 /// Normalize BC scores by the maximum possible value `(n-1)(n-2)`
 /// (undirected scores were already halved, so the undirected
 /// normalizer is `(n-1)(n-2)/2`).
@@ -449,50 +416,6 @@ mod tests {
         let mut s = vec![0.5, 0.5];
         normalize(&mut s, true);
         assert_eq!(s, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn edge_betweenness_on_path() {
-        // Edge (i, i+1) of a path carries all (i+1)(n-1-i) crossing
-        // pairs.
-        let g = gen::path(4);
-        let ebc = edge_betweenness(&g);
-        // Arc 0->1 is edge id 0 (vertex 0 has one neighbor).
-        let arc = |u: u32, v: u32| {
-            g.edge_range(u)
-                .zip(g.neighbors(u))
-                .find(|&(_, &w)| w == v)
-                .map(|(e, _)| e)
-                .unwrap()
-        };
-        // Each arc carries half the undirected edge's score.
-        assert!((ebc[arc(0, 1)] - 1.5).abs() < 1e-9);
-        assert!((ebc[arc(1, 2)] - 2.0).abs() < 1e-9);
-        assert!((ebc[arc(2, 3)] - 1.5).abs() < 1e-9);
-        // Symmetric arcs carry equal flow.
-        assert!((ebc[arc(1, 0)] - ebc[arc(0, 1)]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edge_betweenness_sums_to_pairwise_distances() {
-        // Σ_arcs eBC (halved per symmetric convention) equals the sum
-        // of d(s, t) over unordered reachable pairs.
-        let g = gen::erdos_renyi(30, 60, 5);
-        let ebc = edge_betweenness(&g);
-        let total: f64 = ebc.iter().sum();
-        let mut dist_sum = 0u64;
-        for s in g.vertices() {
-            let ss = single_source(&g, s);
-            for t in 0..g.num_vertices() {
-                if (t as u32) > s && ss.dist[t] != u32::MAX {
-                    dist_sum += ss.dist[t] as u64;
-                }
-            }
-        }
-        assert!(
-            (total - dist_sum as f64).abs() < 1e-6,
-            "edge BC total {total} vs pair distance sum {dist_sum}"
-        );
     }
 
     #[test]

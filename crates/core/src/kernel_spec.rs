@@ -322,11 +322,6 @@ pub fn kernel_spec(id: KernelId) -> KernelSpec {
     KernelSpec { id, lane, accesses }
 }
 
-/// All kernel specs, in [`KernelId::ALL`] order.
-pub fn kernel_specs() -> Vec<KernelSpec> {
-    KernelId::ALL.into_iter().map(kernel_spec).collect()
-}
-
 /// One simulated kernel *launch* — the unit the race model quantifies
 /// over (everything within a launch is concurrent; launches are
 /// separated by device-wide barriers).

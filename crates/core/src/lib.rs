@@ -39,7 +39,6 @@ pub mod parallel;
 pub mod schedule;
 mod solver;
 pub mod teps;
-pub mod weighted;
 
 pub use checkpoint::{graph_digest, options_fingerprint, CheckpointError, CheckpointStore};
 pub use engine::Traversal;

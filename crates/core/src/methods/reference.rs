@@ -8,7 +8,7 @@
 //! and to serve as independent oracles in tests. Only use them on
 //! small graphs; that asymptotic inefficiency is the paper's point.
 
-use bc_graph::{Csr, VertexId};
+use bc_graph::Csr;
 
 const INF: u32 = u32::MAX;
 
@@ -111,17 +111,6 @@ fn bc_with(g: &Csr, mut expand: impl FnMut(&Csr, &mut [u32], &mut [f64], u32) ->
     bc
 }
 
-/// Count the total edge inspections the vertex-parallel traversal
-/// performs for one root (all vertices scanned per depth), used by
-/// work-efficiency comparisons in tests and docs.
-pub fn vertex_parallel_inspections(g: &Csr, root: VertexId) -> u64 {
-    let ecc = bc_graph::traversal::eccentricity(g, root) as u64;
-    // Every depth scans every vertex's status; frontier vertices
-    // additionally traverse their edges. Forward pass runs ecc + 1
-    // depths.
-    (ecc + 1) * g.num_vertices() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,15 +149,5 @@ mod tests {
         let expect = brandes::betweenness(&g);
         assert_close(&expect, &vertex_parallel_bc(&g));
         assert_close(&expect, &edge_parallel_bc(&g));
-    }
-
-    #[test]
-    fn inspection_count_grows_with_diameter() {
-        let path = gen::path(64);
-        let star = gen::star(64);
-        assert!(
-            vertex_parallel_inspections(&path, 0) > 10 * vertex_parallel_inspections(&star, 0),
-            "high-diameter graphs waste far more vertex checks"
-        );
     }
 }

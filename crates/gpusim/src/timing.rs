@@ -77,12 +77,6 @@ impl IterationWork {
         self.contended_atomics += other.contended_atomics;
         self.global_sync |= other.global_sync;
     }
-
-    /// Effective bytes this iteration moves through DRAM.
-    pub fn effective_bytes(&self, device: &DeviceConfig) -> u64 {
-        self.coalesced_bytes
-            + (self.random_accesses + self.scattered_accesses) * device.scattered_tx_bytes as u64
-    }
 }
 
 impl DeviceConfig {

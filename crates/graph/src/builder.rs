@@ -41,11 +41,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of (possibly duplicated) edges accumulated so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add an undirected edge. Self-loops are silently ignored.
     #[inline]
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) {
@@ -143,13 +138,6 @@ pub fn disjoint_union(a: &Csr, b: &Csr) -> Csr {
     Csr::from_undirected_edges(n, edges)
 }
 
-/// Append `count` isolated vertices to a graph (Kronecker generators
-/// naturally produce many; Table IV's TEPS adjustment depends on them).
-pub fn with_isolated_vertices(g: &Csr, count: usize) -> Csr {
-    let n = g.num_vertices() + count;
-    Csr::from_undirected_edges(n, g.arcs().filter(|&(u, v)| u < v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +199,5 @@ mod tests {
         assert_eq!(u.num_vertices(), 5);
         assert_eq!(u.num_undirected_edges(), 2);
         assert!(u.has_arc(2, 4));
-    }
-
-    #[test]
-    fn isolated_vertices_appended() {
-        let g = Csr::from_undirected_edges(2, [(0, 1)]);
-        let h = with_isolated_vertices(&g, 3);
-        assert_eq!(h.num_vertices(), 5);
-        assert_eq!(h.num_isolated(), 3);
-        assert_eq!(h.num_undirected_edges(), 1);
     }
 }

@@ -12,7 +12,6 @@
 //! `seed`; re-running an experiment reproduces the same graph.
 
 mod community;
-mod delaunay;
 mod kronecker;
 mod mesh;
 mod preferential;
@@ -22,7 +21,6 @@ mod shapes;
 mod small_world;
 
 pub use community::{co_purchase, web_copy_model, CommunityParams};
-pub use delaunay::{delaunay_random, delaunay_triangulation};
 pub use kronecker::{kronecker, rmat_edges, RmatParams};
 pub use mesh::{delaunay_like, sheet_mesh, triangulated_grid};
 pub use preferential::{barabasi_albert, geosocial, router_topology};

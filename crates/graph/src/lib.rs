@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod analysis;
 pub mod builder;
 mod csr;
 pub mod datasets;
@@ -30,10 +29,8 @@ pub mod io;
 pub mod relabel;
 pub mod stats;
 pub mod traversal;
-pub mod weighted;
 
 pub use csr::{Csr, CsrIndex, EdgeId, VertexId};
 pub use datasets::{DatasetId, GraphClass};
 pub use relabel::{RelabeledCsr, Relabeling};
 pub use stats::GraphStats;
-pub use weighted::WeightedCsr;

@@ -91,14 +91,6 @@ pub struct RootMetrics {
 }
 
 impl RootMetrics {
-    /// Number of forward levels (== 1 + max BFS depth reached).
-    pub fn forward_levels(&self) -> usize {
-        self.levels
-            .iter()
-            .filter(|l| l.phase == MetricPhase::Forward)
-            .count()
-    }
-
     /// Maximum BFS depth this root's search reached.
     pub fn max_depth(&self) -> u32 {
         self.levels
@@ -153,7 +145,6 @@ mod tests {
                 level(MetricPhase::Backward, 1),
             ],
         };
-        assert_eq!(r.forward_levels(), 3);
         assert_eq!(r.max_depth(), 2);
     }
 

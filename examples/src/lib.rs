@@ -1,10 +1,8 @@
 //! Support crate for the runnable examples; see `src/bin/*.rs`:
 //!
 //! * `quickstart` — every backend on one graph, scores must agree;
-//! * `community_detection` — Girvan–Newman via edge betweenness;
 //! * `power_grid` — adaptive contingency analysis;
-//! * `road_analysis` — exact vs source-sampled approximate BC;
-//! * `weighted_roads` — Dijkstra-based weighted BC (§VI future work).
+//! * `road_analysis` — exact vs source-sampled approximate BC.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The paper and extension sweeps at quick scale compared with their
-# committed rows, then the CLI smoke runs. `ci.sh` and the CI
-# workflow both run this script.
+# committed rows, then the CLI smoke runs and the runnable examples.
+# `ci.sh` and the CI workflow both run this script.
 #
 #   ./smokes.sh
 set -euo pipefail
@@ -76,3 +76,8 @@ echo "==> cli --serve smoke"
 cargo run -q -p hybrid-bc --release -- --dataset smallworld --reduction 8 \
     --serve 12 --serve-edits 2 --metrics results/ci_serve_cli.jsonl
 grep -q '"kind":"serve"' results/ci_serve_cli.jsonl
+# The runnable examples: each must run to completion and exit 0.
+echo "==> examples smoke"
+for example in quickstart power_grid road_analysis; do
+    cargo run -q -p bc-examples --release --bin "$example" > /dev/null
+done

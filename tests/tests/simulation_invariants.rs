@@ -1,9 +1,14 @@
 //! Invariants of the GPU simulation layer: work accounting must be
-//! internally consistent and the timing model monotone in work.
+//! internally consistent, the timing model monotone in work, and the
+//! shared engine's per-level records must match reference BFS.
 
-use bc_core::{BcOptions, Method, RootSelection};
+use bc_core::engine::{
+    process_root_observed, FreeModel, RootContext, RootOutcome, SearchWorkspace,
+};
+use bc_core::{brandes, BcOptions, Method, RootSelection};
 use bc_gpusim::{DeviceConfig, IterationWork};
 use bc_graph::{gen, traversal};
+use bc_metrics::{MetricPhase, MetricsRecorder};
 use proptest::prelude::*;
 
 #[test]
@@ -196,5 +201,47 @@ proptest! {
         prop_assert!(makespan >= total / blocks as f64 - 1e-9, "below perfect balance");
         prop_assert!(makespan >= max - 1e-12, "cannot beat the longest item");
         prop_assert!(makespan <= total + 1e-9, "cannot exceed serial time");
+    }
+
+    #[test]
+    fn prop_engine_level_structure(
+        n in 2usize..60,
+        frac in 0.0f64..0.8,
+        seed in 0u64..200,
+    ) {
+        let m = ((n * (n - 1) / 2) as f64 * frac) as usize;
+        let g = gen::erdos_renyi(n, m, seed);
+        let device = DeviceConfig::gtx_titan();
+        let mut ws = SearchWorkspace::new(n);
+        let mut bc = vec![0.0; n];
+        let mut out = RootOutcome::default();
+        let mut rec = MetricsRecorder::default();
+        let ctx = RootContext { g: &g, root: 0, device: &device };
+        process_root_observed(&ctx, &mut ws, &mut FreeModel, &mut bc, &mut out, &mut rec);
+        let forward: Vec<_> = rec.roots[0]
+            .levels
+            .iter()
+            .filter(|l| l.phase == MetricPhase::Forward)
+            .collect();
+        let frontier_sizes: Vec<usize> = forward.iter().map(|l| l.q_curr as usize).collect();
+        // Frontier sizes partition the reached set.
+        prop_assert_eq!(frontier_sizes.iter().sum::<usize>(), out.reached);
+        // They match the reference BFS level sizes.
+        let reference = traversal::frontier_sizes(&g, 0);
+        prop_assert_eq!(&frontier_sizes, &reference);
+        // Edge frontiers match too (FreeModel only pushes, so each
+        // level inspects exactly its edge frontier).
+        let edge_frontier_sizes: Vec<u64> = forward.iter().map(|l| l.edges_inspected).collect();
+        prop_assert_eq!(&edge_frontier_sizes, &traversal::edge_frontier_sizes(&g, 0));
+        // max_depth equals the eccentricity.
+        prop_assert_eq!(out.max_depth, traversal::eccentricity(&g, 0));
+        // dist/sigma agree with the Brandes reference.
+        let ss = brandes::single_source(&g, 0);
+        for v in 0..n {
+            let ed = ws.dist()[v];
+            let bd = ss.dist[v];
+            prop_assert_eq!(ed, bd, "distance mismatch at {}", v);
+            prop_assert!((ws.sigma()[v] - ss.sigma[v]).abs() < 1e-9);
+        }
     }
 }

@@ -1,14 +1,11 @@
 //! Direct coverage of the small metric/statistics helpers the bigger
 //! experiment code leans on: `bc_core::teps` (the paper's Eq. 4
-//! TEPS_BC and its Table IV variants) and `bc_graph::{stats,
-//! analysis}` (the Table II descriptors used to pin generator
-//! classes). The formulas are checked from outside the crates, on
-//! shapes whose answers are derivable by hand.
+//! TEPS_BC and its Table IV variants) and `bc_graph::stats` (the
+//! Table II descriptors used to pin generator classes). The formulas
+//! are checked from outside the crates, on shapes whose answers are
+//! derivable by hand.
 
 use bc_core::teps::{geometric_mean, teps_bc, teps_bc_adjusted};
-use bc_graph::analysis::{
-    average_local_clustering, degree_assortativity, global_clustering, triangle_count,
-};
 use bc_graph::stats::{degree_gini, degree_histogram, power_law_alpha};
 use bc_graph::{gen, Csr, GraphStats};
 
@@ -128,35 +125,4 @@ fn power_law_fit_lands_near_the_ba_exponent() {
     );
     // Too few qualifying vertices: no fit rather than a bogus one.
     assert!(power_law_alpha(&gen::path(8), 3).is_none());
-}
-
-#[test]
-fn triangle_count_on_closed_forms() {
-    // K_n has C(n,3) triangles.
-    assert_eq!(triangle_count(&gen::complete(6)), 20);
-    // Bipartite and tree shapes have none.
-    assert_eq!(triangle_count(&gen::grid(5, 5)), 0);
-    assert_eq!(triangle_count(&gen::balanced_tree(2, 5)), 0);
-    // One shared diagonal per grid cell: 2 triangles per cell.
-    let tg = gen::triangulated_grid(4, 4, 1);
-    assert_eq!(triangle_count(&tg), 2 * 9);
-}
-
-#[test]
-fn clustering_coefficients_bracket_known_graphs() {
-    assert!((global_clustering(&gen::complete(7)) - 1.0).abs() < 1e-12);
-    assert_eq!(global_clustering(&gen::star(12)), 0.0);
-    assert_eq!(average_local_clustering(&gen::cycle(12)), 0.0);
-    // The WS lattice keeps high local clustering at low rewiring.
-    let ws = gen::watts_strogatz(600, 8, 0.02, 3);
-    assert!(average_local_clustering(&ws) > 0.4);
-}
-
-#[test]
-fn assortativity_sign_matches_structure() {
-    // Star: the hub (degree n-1) only touches leaves (degree 1) —
-    // maximally disassortative.
-    assert!(degree_assortativity(&gen::star(16)) < -0.9);
-    // Regular ring: all degrees equal, zero by convention.
-    assert_eq!(degree_assortativity(&gen::cycle(20)), 0.0);
 }
